@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .splines import KnotVector, SplineError, continuity_profile, eval_basis_1d, validate_knot_vector
+from .splines import KnotVector, SplineError, basis_table, continuity_profile, validate_knot_vector
 
 
 class ReproductionFailure(SplineError):
@@ -69,21 +69,12 @@ def _span_quadrature(kv: KnotVector, nq: int):
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def _basis_table(kv: KnotVector, xs: np.ndarray):
-    firsts = np.empty(len(xs), dtype=int)
-    vals = np.empty((len(xs), kv.degree + 1))
-    for q, x in enumerate(xs):
-        be = eval_basis_1d(kv, float(x), 0)
-        firsts[q] = be.first
-        vals[q] = be.values
-    return firsts, vals
-
-
 def gram_matrix(kv: KnotVector) -> np.ndarray:
     """G_ik = integral of N_i N_k, exact per-span Gauss quadrature."""
     p = kv.degree
     xs, ws = _span_quadrature(kv, p + 1)
-    firsts, vals = _basis_table(kv, xs)
+    firsts, ders = basis_table(kv, xs)
+    vals = ders[:, 0]
     g = np.zeros((kv.n, kv.n))
     for q in range(len(xs)):
         i0 = firsts[q]
@@ -96,7 +87,8 @@ def basis_moments(kv: KnotVector, f) -> np.ndarray:
     """m_i = integral of N_i * f for piecewise-polynomial f (exact Gauss)."""
     p = kv.degree
     xs, ws = _span_quadrature(kv, 2 * p + 2)
-    firsts, vals = _basis_table(kv, xs)
+    firsts, ders = basis_table(kv, xs)
+    vals = ders[:, 0]
     fv = f(xs)
     m = np.zeros(kv.n)
     for q in range(len(xs)):

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plate import MixedSystem
-from .sparse import build_csr
+from .plate import MixedSystem, assemble_patches, assemble_primal_patches, boundary_point_ids
 from .splines import SurfacePatch
 
 
@@ -200,18 +199,8 @@ def single_patch_assembly(patch: SurfacePatch) -> PatchAssembly:
         interfaces=[],
         point_maps=[np.arange(nw)],
         n_points=nw,
-        boundary_points=boundary_point_ids_from_shape(patch.net.shape),
+        boundary_points=boundary_point_ids(patch.net),
     )
-
-
-def boundary_point_ids_from_shape(shape: tuple[int, int]) -> np.ndarray:
-    n, m = shape
-    ids = set()
-    for i in (0, n - 1):
-        ids.update(i * m + j for j in range(m))
-    for j in (0, m - 1):
-        ids.update(i * m + j for i in range(n))
-    return np.array(sorted(ids), dtype=int)
 
 
 def d_index_map(pa: PatchAssembly, patch_idx: int) -> np.ndarray:
@@ -239,88 +228,14 @@ def assemble_multipatch(
     scheme: str,
     load=None,
 ) -> MixedSystem:
-    """Merge patch-local mixed systems into the unified displacement numbering."""
-    from .plate import assemble
-
+    """Mixed system of all patches, scattered once into the unified d numbering."""
+    d_maps = [d_index_map(pa, p) for p in range(len(discs))]
     nd = 3 * pa.n_points
-    locals_ = [assemble(disc, mat, scheme, load) for disc in discs]
-
-    rows, cols, vals = [], [], []
-    f_d = np.zeros(nd)
-    k_ds1, k_ds2, k_s1d, k_s2d, k_s11, k_s22 = [], [], [], [], [], []
-    for p, loc in enumerate(locals_):
-        dmap = d_index_map(pa, p)
-        coo = loc.k_dd.tocoo()
-        rows.append(dmap[coo.row])
-        cols.append(dmap[coo.col])
-        vals.append(coo.data)
-        np.add.at(f_d, dmap, loc.f_d)
-
-        def remap_rows(mat_local):
-            coo = mat_local.tocoo()
-            return build_csr(
-                (nd, mat_local.shape[1]), dmap[coo.row], coo.col, coo.data
-            )
-
-        def remap_cols(mat_local):
-            coo = mat_local.tocoo()
-            return build_csr(
-                (mat_local.shape[0], nd), coo.row, dmap[coo.col], coo.data
-            )
-
-        k_ds1.append(remap_rows(loc.k_ds1[0]))
-        k_ds2.append(remap_rows(loc.k_ds2[0]))
-        k_s1d.append(remap_cols(loc.k_s1d[0]))
-        k_s2d.append(remap_cols(loc.k_s2d[0]))
-        k_s11.append(loc.k_s11[0])
-        k_s22.append(loc.k_s22[0])
-
-    k_dd = build_csr((nd, nd), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    return MixedSystem(
-        k_dd=k_dd,
-        k_ds1=k_ds1,
-        k_ds2=k_ds2,
-        k_s1d=k_s1d,
-        k_s2d=k_s2d,
-        k_s11=k_s11,
-        k_s22=k_s22,
-        f_d=f_d,
-        scheme=scheme,
-        spaces=[d.spaces for d in discs],
-        boundary_d=boundary_d_indices(pa),
-        nd_full=nd,
-    )
+    return assemble_patches(discs, d_maps, nd, mat, scheme, boundary_d_indices(pa), load)
 
 
 def assemble_primal_multipatch(pa: PatchAssembly, discs: list, mat, load=None):
     """Global primal system in the unified displacement numbering."""
-    from .plate import assemble_primal
-
-    nd = 3 * pa.n_points
-    rows, cols, vals = [], [], []
-    f = np.zeros(nd)
-    for p, disc in enumerate(discs):
-        k_loc, f_loc, _ = assemble_primal(disc, mat, load)
-        dmap = d_index_map(pa, p)
-        coo = k_loc.tocoo()
-        rows.append(dmap[coo.row])
-        cols.append(dmap[coo.col])
-        vals.append(coo.data)
-        np.add.at(f, dmap, f_loc)
-    k = build_csr((nd, nd), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    d_maps = [d_index_map(pa, p) for p in range(len(discs))]
+    k, f = assemble_primal_patches(discs, d_maps, 3 * pa.n_points, mat, load)
     return k, f, boundary_d_indices(pa)
-
-
-def assemble_and_condense_multipatch(pa: PatchAssembly, mat, config, load=None):
-    """Refine every patch, assemble, and condense patch by patch.
-
-    Returns (condensed system, solve context).  Per-patch dual transforms
-    are built from each patch's own (continuity-reduced) knot vectors; the
-    summed condensed contributions equal a monolithic block-diagonal
-    treatment because the shear blocks never couple across patches.
-    """
-    from . import condense as _c
-
-    ctx = _c.prepare_problem(pa, config)
-    system = _c.assemble_mixed(ctx, mat, load)
-    return _c.condense_variant(system, ctx, config), ctx

@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import build_csr
 from .splines import (
     KnotVector,
     SplineError,
     SurfacePatch,
+    basis_table,
     elevate_degree,
-    eval_basis_1d,
     insert_knots,
     validate_knot_vector,
 )
@@ -156,18 +155,16 @@ def _weight_samples(patch: SurfacePatch, kv_u: KnotVector, kv_v: KnotVector) -> 
     """Geometry weight function sampled at the Greville grid of a shear space."""
     if np.all(patch.net.weights == 1.0):
         return np.ones((kv_u.n, kv_v.n))
-    gu, gv = kv_u.greville(), kv_v.greville()
     p, q = patch.degrees
-    w = np.empty((len(gu), len(gv)))
-    for a, x in enumerate(gu):
-        bu = eval_basis_1d(patch.knots_u, float(x))
-        for b, y in enumerate(gv):
-            bv = eval_basis_1d(patch.knots_v, float(y))
-            wloc = patch.net.weights[
-                bu.first : bu.first + p + 1, bv.first : bv.first + q + 1
-            ]
-            w[a, b] = float(np.outer(bu.values, bv.values).ravel() @ wloc.ravel())
-    return w
+    first_u, bu = basis_table(patch.knots_u, kv_u.greville())
+    first_v, bv = basis_table(patch.knots_v, kv_v.greville())
+    iu = _local_ids(first_u, p + 1)[:, None, :, None]
+    iv = _local_ids(first_v, q + 1)[None, :, None, :]
+    return np.einsum("ai,bj,abij->ab", bu[:, 0], bv[:, 0], patch.net.weights[iu, iv])
+
+
+def _local_ids(first: np.ndarray, count: int) -> np.ndarray:
+    return first[:, None] + np.arange(count)
 
 
 def build_field_spaces(
@@ -216,25 +213,29 @@ def build_field_spaces(
 
 
 # ---------------------------------------------------------------------------
-# quadrature tables and element data
+# quadrature tables and the batched element kernel
 # ---------------------------------------------------------------------------
 
+CHUNK = 256  # elements per kernel call; bounds the (element, point, function) arrays
 
-def _dir_tables(kv: KnotVector, pts_per_span: np.ndarray, nderiv: int):
-    """Basis (and derivative) tables per span: (nspan, nq, deg+1)."""
-    nspan, nq = pts_per_span.shape
-    first = np.empty(nspan, dtype=int)
-    vals = np.empty((nspan, nq, nderiv + 1, kv.degree + 1))
-    for s in range(nspan):
-        for q in range(nq):
-            be = eval_basis_1d(kv, float(pts_per_span[s, q]), nderiv)
-            vals[s, q] = be.ders
-        first[s] = eval_basis_1d(kv, float(pts_per_span[s, 0]), 0).first
-    return first, vals
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tensor-product basis of a batch: (E, qa, i) x (E, qb, j) -> (E, qa*qb, i*j)."""
+    ne, qa, na = a.shape
+    _, qb, nb = b.shape
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(ne, qa * qb, na * nb)
 
 
 class PatchDiscretization:
-    """Per-patch quadrature grid and basis tables for assembly."""
+    """Per-patch quadrature grid, basis tables and the batched element kernel.
+
+    Kernel arrays carry the axes (element, quadrature point, local function);
+    element (eu, ev) comes at position eu * n_elem_v + ev of the element order.
+    """
 
     def __init__(self, spaces: FieldSpaces, nq: int | None = None):
         self.spaces = spaces
@@ -249,21 +250,22 @@ class PatchDiscretization:
             raise SplineError("shear spaces must share the displacement breakpoints")
 
         def grid(spans):
-            pts = np.empty((len(spans), self.nq1))
-            wts = np.empty((len(spans), self.nq1))
-            for s, (_, a, b) in enumerate(spans):
-                h = 0.5 * (b - a)
-                pts[s] = 0.5 * (a + b) + h * xg
-                wts[s] = h * wg
-            return pts, wts
+            a = np.array([s[1] for s in spans])[:, None]
+            b = np.array([s[2] for s in spans])[:, None]
+            h = 0.5 * (b - a)
+            return 0.5 * (a + b) + h * xg, h * wg
 
         self.pts_u, self.wts_u = grid(self.spans_u)
         self.pts_v, self.wts_v = grid(self.spans_v)
 
-        self.first_du, self.tab_du = _dir_tables(spaces.disp.kv_u, self.pts_u, 1)
-        self.first_dv, self.tab_dv = _dir_tables(spaces.disp.kv_v, self.pts_v, 1)
-        self.first_1u, self.tab_1u = _dir_tables(spaces.s1.kv_u, self.pts_u, 0)
-        self.first_2v, self.tab_2v = _dir_tables(spaces.s2.kv_v, self.pts_v, 0)
+        def tables(kv, pts, nderiv):
+            first, ders = basis_table(kv, pts.ravel(), nderiv)
+            return first.reshape(pts.shape)[:, 0], ders.reshape(pts.shape + ders.shape[1:])
+
+        self.first_du, self.tab_du = tables(spaces.disp.kv_u, self.pts_u, 1)
+        self.first_dv, self.tab_dv = tables(spaces.disp.kv_v, self.pts_v, 1)
+        self.first_1u, self.tab_1u = tables(spaces.s1.kv_u, self.pts_u, 0)
+        self.first_2v, self.tab_2v = tables(spaces.s2.kv_v, self.pts_v, 0)
 
         self.n_elem_u = len(self.spans_u)
         self.n_elem_v = len(self.spans_v)
@@ -278,121 +280,120 @@ class PatchDiscretization:
             for ev in range(self.n_elem_v):
                 yield eu, ev
 
-    def element_context(self, eu: int, ev: int) -> dict:
-        """Geometry, basis values and quadrature data of one element."""
-        spaces = self.spaces
-        pu, pv = spaces.degrees
-        net = spaces.patch.net
+    def chunks(self):
+        """Element index arrays (eu, ev), CHUNK elements at a time, in element order."""
+        eu, ev = np.divmod(np.arange(self.n_elems), self.n_elem_v)
+        for s in range(0, self.n_elems, CHUNK):
+            yield eu[s : s + CHUNK], ev[s : s + CHUNK]
 
-        n_u = self.tab_du[eu, :, 0, :]  # (nq, pu+1)
-        d_u = self.tab_du[eu, :, 1, :]
-        n_v = self.tab_dv[ev, :, 0, :]
-        d_v = self.tab_dv[ev, :, 1, :]
-        iu0 = int(self.first_du[eu])
-        iv0 = int(self.first_dv[ev])
+    def geometry(self, eu: np.ndarray, ev: np.ndarray) -> dict:
+        """Rational basis, physical gradients, points and measures of a batch of elements."""
+        pu, pv = self.spaces.degrees
+        net = self.spaces.patch.net
+        ne = len(eu)
+        n_u, d_u = self.tab_du[eu, :, 0], self.tab_du[eu, :, 1]
+        n_v, d_v = self.tab_dv[ev, :, 0], self.tab_dv[ev, :, 1]
+        iu = _local_ids(self.first_du[eu], pu + 1)[:, :, None]
+        iv = _local_ids(self.first_dv[ev], pv + 1)[:, None, :]
 
-        wloc = net.weights[iu0 : iu0 + pu + 1, iv0 : iv0 + pv + 1]
-        ploc = net.points[iu0 : iu0 + pu + 1, iv0 : iv0 + pv + 1, :2]
-
-        nn = n_u[:, None, :, None] * n_v[None, :, None, :]
-        nn_xi = d_u[:, None, :, None] * n_v[None, :, None, :]
-        nn_eta = n_u[:, None, :, None] * d_v[None, :, None, :]
+        nn, nn_xi, nn_eta = _outer(n_u, n_v), _outer(d_u, n_v), _outer(n_u, d_v)
         if self.unit_weights:
             w_q = np.ones(nn.shape[:2])
-            r = nn
-            r_xi = nn_xi
-            r_eta = nn_eta
+            r, r_xi, r_eta = nn, nn_xi, nn_eta
         else:
-            w_q = np.tensordot(nn, wloc, axes=([2, 3], [0, 1]))
-            w_xi = np.tensordot(nn_xi, wloc, axes=([2, 3], [0, 1]))
-            w_eta = np.tensordot(nn_eta, wloc, axes=([2, 3], [0, 1]))
-            r = nn * wloc / w_q[..., None, None]
-            r_xi = (nn_xi * wloc - r * w_xi[..., None, None]) / w_q[..., None, None]
-            r_eta = (nn_eta * wloc - r * w_eta[..., None, None]) / w_q[..., None, None]
+            wl = net.weights[iu, iv].reshape(ne, 1, -1)
+            w_q = (nn @ _swap(wl))[..., 0]
+            w_xi = (nn_xi @ _swap(wl))[..., 0]
+            w_eta = (nn_eta @ _swap(wl))[..., 0]
+            r = nn * wl / w_q[..., None]
+            r_xi = (nn_xi * wl - r * w_xi[..., None]) / w_q[..., None]
+            r_eta = (nn_eta * wl - r * w_eta[..., None]) / w_q[..., None]
 
-        xy = np.tensordot(r, ploc, axes=([2, 3], [0, 1]))
-        jac = np.empty(nn.shape[:2] + (2, 2))
-        jac[..., :, 0] = np.tensordot(r_xi, ploc, axes=([2, 3], [0, 1]))
-        jac[..., :, 1] = np.tensordot(r_eta, ploc, axes=([2, 3], [0, 1]))
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        if np.any(det <= 0):
+        ploc = net.points[iu, iv, :2].reshape(ne, -1, 2)
+        xy = r @ ploc
+        x_xi = r_xi @ ploc  # Jacobian columns d(x, y)/dxi and d(x, y)/deta
+        x_eta = r_eta @ ploc
+        det = x_xi[..., 0] * x_eta[..., 1] - x_eta[..., 0] * x_xi[..., 1]
+        bad = np.any(det <= 0, axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
             raise DegenerateJacobian(
-                f"non-positive Jacobian determinant in element ({eu}, {ev})"
+                f"non-positive Jacobian determinant in element ({eu[k]}, {ev[k]})"
             )
 
         # push parametric gradients to physical ones via inv(J)^T
-        inv_det = 1.0 / det
-        gx = inv_det[..., None, None] * (
-            jac[..., 1, 1, None, None] * r_xi - jac[..., 1, 0, None, None] * r_eta
-        )
-        gy = inv_det[..., None, None] * (
-            -jac[..., 0, 1, None, None] * r_xi + jac[..., 0, 0, None, None] * r_eta
-        )
+        inv_det = 1.0 / det[..., None]
+        gx = inv_det * (x_eta[..., 1:] * r_xi - x_xi[..., 1:] * r_eta)
+        gy = inv_det * (-x_eta[..., :1] * r_xi + x_xi[..., :1] * r_eta)
 
-        nq2 = nn.shape[0] * nn.shape[1]
-        nloc = (pu + 1) * (pv + 1)
-        w_param = np.multiply.outer(self.wts_u[eu], self.wts_v[ev]).ravel()
-
-        # shear space 1: reduced in xi
-        o1u = int(self.first_1u[eu])
-        t1u = self.tab_1u[eu, :, 0, :]
-        n1 = (t1u[:, None, :, None] * n_v[None, :, None, :]).reshape(nq2, -1)
-        # shear space 2: reduced in eta
-        o2v = int(self.first_2v[ev])
-        t2v = self.tab_2v[ev, :, 0, :]
-        n2 = (n_u[:, None, :, None] * t2v[None, :, None, :]).reshape(nq2, -1)
-
-        ctx = {
-            "r": r.reshape(nq2, nloc),
-            "gx": gx.reshape(nq2, nloc),
-            "gy": gy.reshape(nq2, nloc),
-            "xy": xy.reshape(nq2, 2),
-            "det": det.ravel(),
-            "w_geom": w_q.ravel(),
+        w_param = (self.wts_u[eu][:, :, None] * self.wts_v[ev][:, None, :]).reshape(ne, -1)
+        gi = (iu * self.spaces.disp.kv_v.n + iv).reshape(ne, -1)
+        return {
+            "r": r,
+            "gx": gx,
+            "gy": gy,
+            "xy": xy,
+            "det": det,
+            "w_geom": w_q,
             "w_param": w_param,
-            "n1": n1,
-            "n2": n2,
-            "iu0": iu0,
-            "iv0": iv0,
-            "o1u": o1u,
-            "o2v": o2v,
+            "gi": gi,
         }
 
-        # rational shear bases when the shear spaces carry weights
-        for key, space, (ou, ov), tab in (
-            ("n1", spaces.s1, (o1u, iv0), None),
-            ("n2", spaces.s2, (iu0, o2v), None),
+    def shear_bases(self, eu: np.ndarray, ev: np.ndarray) -> tuple:
+        """(n1, s1_idx, n2, s2_idx): shear bases and patch-local shear ids of a batch."""
+        out = []
+        for space, (first_u, tab_u), (first_v, tab_v) in (
+            (self.spaces.s1, (self.first_1u, self.tab_1u), (self.first_dv, self.tab_dv)),
+            (self.spaces.s2, (self.first_du, self.tab_du), (self.first_2v, self.tab_2v)),
         ):
+            tab_u, tab_v = tab_u[eu, :, 0], tab_v[ev, :, 0]
+            iu = _local_ids(first_u[eu], tab_u.shape[-1])[:, :, None]
+            iv = _local_ids(first_v[ev], tab_v.shape[-1])[:, None, :]
+            n = _outer(tab_u, tab_v)
             if space.weights is not None and not np.all(space.weights == 1.0):
-                deg_u = space.kv_u.degree
-                deg_v = space.kv_v.degree
-                wl = space.weights[ou : ou + deg_u + 1, ov : ov + deg_v + 1]
-                vals = ctx[key].reshape(nq2, deg_u + 1, deg_v + 1)
-                num = vals * wl
-                den = num.sum(axis=(1, 2))
-                ctx[key] = (num / den[:, None, None]).reshape(nq2, -1)
+                num = n * space.weights[iu, iv].reshape(len(eu), 1, -1)
+                n = num / num.sum(axis=-1, keepdims=True)
+            out += [n, (iu * space.kv_v.n + iv).reshape(len(eu), -1)]
+        return tuple(out)
+
+    def element_context(self, eu: int, ev: int) -> dict:
+        """Geometry, basis values and quadrature data of one element."""
+        batch = (np.array([eu]), np.array([ev]))
+        ctx = {key: val[0] for key, val in self.geometry(*batch).items()}
+        n1, s1_idx, n2, s2_idx = self.shear_bases(*batch)
+        ctx.update(n1=n1[0], s1_idx=s1_idx[0], n2=n2[0], s2_idx=s2_idx[0])
         return ctx
 
     def element_dofs(self, eu: int, ev: int, ctx: dict):
-        """Global (patch-local) DOF index arrays for one element."""
-        spaces = self.spaces
-        pu, pv = spaces.degrees
-        _, mv = spaces.disp.shape
-        nw = spaces.disp.ndof
-        iu0, iv0 = ctx["iu0"], ctx["iv0"]
-        gi = np.add.outer((iu0 + np.arange(pu + 1)) * mv, iv0 + np.arange(pv + 1)).ravel()
-        d_idx = np.concatenate([gi, nw + np.stack([2 * gi, 2 * gi + 1], axis=1).ravel()])
-        m1 = spaces.s1.kv_v.n
-        s1_idx = np.add.outer(
-            (ctx["o1u"] + np.arange(spaces.s1.kv_u.degree + 1)) * m1,
-            iv0 + np.arange(pv + 1),
-        ).ravel()
-        m2 = spaces.s2.kv_v.n
-        s2_idx = np.add.outer(
-            (iu0 + np.arange(pu + 1)) * m2,
-            ctx["o2v"] + np.arange(spaces.s2.kv_v.degree + 1),
-        ).ravel()
-        return gi, d_idx, s1_idx, s2_idx
+        """Patch-local (w point, d, S1, S2) index arrays of one element."""
+        gi = ctx["gi"]
+        d_idx = np.concatenate([gi, _rotation_ids(gi, self.spaces.disp.ndof)])
+        return gi, d_idx, ctx["s1_idx"], ctx["s2_idx"]
+
+
+def _rotation_ids(gi: np.ndarray, nw: int) -> np.ndarray:
+    """Interleaved (theta_1, theta_2) d ids of w-point ids (..., L) -> (..., 2L)."""
+    return (nw + 2 * gi[..., None] + np.arange(2)).reshape(gi.shape[:-1] + (-1,))
+
+
+def _bending(gx: np.ndarray, gy: np.ndarray, w: np.ndarray, d_m: np.ndarray) -> np.ndarray:
+    """Bending blocks B^T D B on interleaved rotations of a batch: (E, 2L, 2L)."""
+    ne, nq, nloc = gx.shape
+    b = np.zeros((ne, nq, 3, 2 * nloc))
+    b[:, :, 0, 0::2] = gx
+    b[:, :, 1, 1::2] = gy
+    b[:, :, 2, 0::2] = gy
+    b[:, :, 2, 1::2] = gx
+    db = (d_m @ b).reshape(ne, 3 * nq, -1)
+    bw = (b * w[..., None, None]).reshape(ne, 3 * nq, -1)
+    return _swap(bw) @ db
+
+
+def _load_vector(geo: dict, w_phys: np.ndarray, load) -> np.ndarray:
+    """Consistent load on the w functions of a batch: (E, L)."""
+    xy = geo["xy"].reshape(-1, 2)
+    fv = np.asarray(load(xy[:, 0], xy[:, 1]), dtype=float).reshape(w_phys.shape)
+    return (_swap(geo["r"]) @ (fv * w_phys)[..., None])[..., 0]
 
 
 @dataclass
@@ -413,6 +414,59 @@ class ElementMatrices:
     s2_idx: np.ndarray
 
 
+def _mixed_blocks(disc: PatchDiscretization, mat: PlateMaterial, scheme: str, eu, ev, load) -> dict:
+    """Nonzero sub-blocks of the mixed element matrices of a batch of elements.
+
+    'tt' is the bending block on the interleaved rotations; '_w' and '_t'
+    are the w and matching-rotation (theta_1 for S1, theta_2 for S2) parts of
+    the coupling blocks.  Every other sub-block of the element matrices is
+    zero.  scheme='galerkin' uses the physical measure everywhere;
+    scheme='weighted' integrates the shear rows with kappa*G*t * W^2 against
+    the parametric measure.  Shear rows carry the normalising -1.
+    """
+    if scheme not in ("galerkin", "weighted"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    geo = disc.geometry(eu, ev)
+    n1, s1_idx, n2, s2_idx = disc.shear_bases(eu, ev)
+    r, gx, gy = geo["r"], geo["gx"], geo["gy"]
+    w_phys = geo["w_param"] * geo["det"]
+
+    if scheme == "weighted":
+        # with B-spline shear interpolation the geometry-weight factor is
+        # dropped, which makes the shear block an exact parametric Gram
+        if disc.spaces.s1.weights is None:
+            w_shear = geo["w_param"]
+        else:
+            w_shear = geo["w_param"] * geo["w_geom"] ** 2
+        row_fac, ss_fac = mat.kgt, 1.0
+    else:
+        w_shear, row_fac, ss_fac = w_phys, 1.0, 1.0 / mat.kgt
+
+    rw = _swap(r * w_phys[..., None])
+    n1w = _swap(n1 * w_shear[..., None])
+    n2w = _swap(n2 * w_shear[..., None])
+    f_w = np.zeros(gx.shape[::2]) if load is None else _load_vector(geo, w_phys, load)
+    return {
+        "gi": geo["gi"],
+        "s1_idx": s1_idx,
+        "s2_idx": s2_idx,
+        "tt": _bending(gx, gy, w_phys, mat.d_bend),
+        # displacement rows of the coupling blocks (physical measure)
+        "ds1_w": _swap(gx * w_phys[..., None]) @ n1,
+        "ds1_t": -(rw @ n1),
+        "ds2_w": _swap(gy * w_phys[..., None]) @ n2,
+        "ds2_t": -(rw @ n2),
+        # shear rows, normalised sign: -(S-d coupling), +(S-S Gram)
+        "s1d_w": -row_fac * (n1w @ gx),
+        "s1d_t": row_fac * (n1w @ r),
+        "s2d_w": -row_fac * (n2w @ gy),
+        "s2d_t": row_fac * (n2w @ r),
+        "s11": ss_fac * (n1w @ n1),
+        "s22": ss_fac * (n2w @ n2),
+        "f_w": f_w,
+    }
+
+
 def element_matrices(
     disc: PatchDiscretization,
     mat: PlateMaterial,
@@ -420,100 +474,28 @@ def element_matrices(
     elem: tuple[int, int],
     load=None,
 ) -> ElementMatrices:
-    """Integrate the mixed blocks of one element.
-
-    scheme='galerkin' uses the physical measure everywhere; scheme='weighted'
-    integrates the shear rows with kappa*G*t * W^2 against the parametric
-    measure.  Shear rows carry the normalising -1.
-    """
-    if scheme not in ("galerkin", "weighted"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+    """Dense mixed blocks of one element: a one-element view of the batched kernel."""
     eu, ev = elem
-    ctx = disc.element_context(eu, ev)
-    gi, d_idx, s1_idx, s2_idx = disc.element_dofs(eu, ev, ctx)
-
-    r, gx, gy = ctx["r"], ctx["gx"], ctx["gy"]
-    n1, n2 = ctx["n1"], ctx["n2"]
-    nloc = r.shape[1]
-    w_phys = ctx["w_param"] * ctx["det"]
-
-    d_m = mat.d_bend
-    kgt = mat.kgt
-
-    # bending block on the rotation DOFs
-    b = np.zeros((r.shape[0], 3, 2 * nloc))
-    b[:, 0, 0::2] = gx
-    b[:, 1, 1::2] = gy
-    b[:, 2, 0::2] = gy
-    b[:, 2, 1::2] = gx
-    bw = b * w_phys[:, None, None]
-    k_theta = np.tensordot(np.tensordot(bw, d_m, axes=([1], [0])), b, axes=([0, 2], [0, 1]))
+    k = {key: val[0] for key, val in _mixed_blocks(disc, mat, scheme, [eu], [ev], load).items()}
+    gi, s1_idx, s2_idx = k["gi"], k["s1_idx"], k["s2_idx"]
+    nloc = len(gi)
     k_dd = np.zeros((3 * nloc, 3 * nloc))
-    k_dd[nloc:, nloc:] = k_theta
-
-    def d_rows(block_w, block_t1, block_t2):
-        out = np.zeros((3 * nloc, block_w.shape[1]))
-        out[:nloc] = block_w
-        out[nloc::2] = block_t1
-        out[nloc + 1 :: 2] = block_t2
-        return out
-
-    # displacement rows of the coupling blocks (physical measure)
-    rw = r * w_phys[:, None]
-    k_ds1 = d_rows(
-        (gx * w_phys[:, None]).T @ n1,
-        -rw.T @ n1,
-        np.zeros((nloc, n1.shape[1])),
-    )
-    k_ds2 = d_rows(
-        (gy * w_phys[:, None]).T @ n2,
-        np.zeros((nloc, n2.shape[1])),
-        -rw.T @ n2,
-    )
-
-    if scheme == "weighted":
-        # with B-spline shear interpolation the geometry-weight factor is
-        # dropped, which makes the shear block an exact parametric Gram
-        if disc.spaces.s1.weights is None:
-            w_shear = ctx["w_param"]
-        else:
-            w_shear = ctx["w_param"] * ctx["w_geom"] ** 2
-        row_fac = kgt
-        ss_fac = 1.0
-    else:
-        w_shear = w_phys
-        row_fac = 1.0
-        ss_fac = 1.0 / kgt
-
-    # shear rows, normalised sign: -(S-d coupling), +(S-S Gram)
-    n1w = n1 * w_shear[:, None]
-    n2w = n2 * w_shear[:, None]
-    k_s1d = np.zeros((n1.shape[1], 3 * nloc))
-    k_s1d[:, :nloc] = -row_fac * (n1w.T @ gx)
-    k_s1d[:, nloc::2] = row_fac * (n1w.T @ r)
-    k_s2d = np.zeros((n2.shape[1], 3 * nloc))
-    k_s2d[:, :nloc] = -row_fac * (n2w.T @ gy)
-    k_s2d[:, nloc + 1 :: 2] = row_fac * (n2w.T @ r)
-
-    k_s11 = ss_fac * (n1w.T @ n1)
-    k_s22 = ss_fac * (n2w.T @ n2)
-
-    if load is None:
-        f_w = np.zeros(nloc)
-    else:
-        fv = np.asarray(load(ctx["xy"][:, 0], ctx["xy"][:, 1]), dtype=float)
-        f_w = r.T @ (fv * w_phys)
-
+    k_dd[nloc:, nloc:] = k["tt"]
+    k_ds1, k_ds2 = np.zeros((3 * nloc, len(s1_idx))), np.zeros((3 * nloc, len(s2_idx)))
+    k_s1d, k_s2d = np.zeros((len(s1_idx), 3 * nloc)), np.zeros((len(s2_idx), 3 * nloc))
+    for ds, sd, key, rot in ((k_ds1, k_s1d, "1", nloc), (k_ds2, k_s2d, "2", nloc + 1)):
+        ds[:nloc], ds[rot::2] = k[f"ds{key}_w"], k[f"ds{key}_t"]
+        sd[:, :nloc], sd[:, rot::2] = k[f"s{key}d_w"], k[f"s{key}d_t"]
     return ElementMatrices(
         k_dd=k_dd,
         k_ds1=k_ds1,
         k_ds2=k_ds2,
         k_s1d=k_s1d,
         k_s2d=k_s2d,
-        k_s11=k_s11,
-        k_s22=k_s22,
-        f_w=f_w,
-        d_idx=d_idx,
+        k_s11=k["s11"],
+        k_s22=k["s22"],
+        f_w=k["f_w"],
+        d_idx=np.concatenate([gi, _rotation_ids(gi, disc.spaces.disp.ndof)]),
         w_idx=gi,
         s1_idx=s1_idx,
         s2_idx=s2_idx,
@@ -574,19 +556,120 @@ class MixedSystem:
         return a, rhs
 
 
-def boundary_point_ids(space: Space2D) -> np.ndarray:
-    """Control-point ids on the patch boundary (first/last row/column)."""
-    n, m = space.shape
-    ids = set()
-    for i in (0, n - 1):
-        ids.update(i * m + j for j in range(m))
-    for j in (0, m - 1):
-        ids.update(i * m + j for i in range(n))
-    return np.array(sorted(ids), dtype=int)
+
+def boundary_point_ids(grid) -> np.ndarray:
+    """Sorted control-point ids on the first/last row/column of a grid.
+
+    `grid` is anything with an (n, m) `shape`: a Space2D or a ControlNet.
+    """
+    n, m = grid.shape
+    on_edge = np.zeros((n, m), dtype=bool)
+    on_edge[[0, -1], :] = True
+    on_edge[:, [0, -1]] = True
+    return np.flatnonzero(on_edge)
 
 
 def _d_indices_of_points(pts: np.ndarray, nw: int) -> np.ndarray:
     return np.concatenate([pts, nw + 2 * pts, nw + 2 * pts + 1])
+
+
+def _triplets(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray) -> tuple:
+    """Triplets of a batch of dense blocks (E, a, b) with ids rows (E, a), cols (E, b)."""
+    return (
+        np.broadcast_to(rows[:, :, None], blocks.shape).ravel(),
+        np.broadcast_to(cols[:, None, :], blocks.shape).ravel(),
+        blocks.ravel(),
+    )
+
+
+def _csr(shape, parts: list) -> sp.csr_matrix:
+    """One CSR build from triplet parts, summing duplicates in element order.
+
+    A stable sort on the flat (row, col) key keeps each entry's contributions
+    in the order the elements came, so the sums do not depend on CHUNK.
+    Sums that cancel to exactly zero (on affine patches) are not stored.
+    """
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    key = rows * shape[1] + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sums = np.add.reduceat(vals[order], first)
+    keep = sums != 0.0
+    key, sums = key[first][keep], sums[keep]
+    indptr = np.searchsorted(key, np.arange(shape[0] + 1) * shape[1])
+    return sp.csr_matrix((sums, key % shape[1], indptr), shape=shape)
+
+
+def assemble_patches(
+    discs: list,
+    d_maps: list,
+    nd: int,
+    mat: PlateMaterial,
+    scheme: str,
+    boundary_d: np.ndarray,
+    load=None,
+) -> MixedSystem:
+    """Mixed system of several patches, scattered once into a shared d numbering.
+
+    d_maps[p] maps patch p's local d ids to global ones; shear ids stay
+    patch-local, so every patch keeps its own shear blocks.  Only the
+    nonzero sub-blocks of the element matrices are stored.
+    """
+    dd = []
+    f_d = np.zeros(nd)
+    blocks = {key: [] for key in ("ds1", "ds2", "s1d", "s2d", "s11", "s22")}
+    for disc, d_map in zip(discs, d_maps):
+        nw = disc.spaces.disp.ndof
+        parts = {key: [] for key in blocks}
+        f_ids, f_vals = [], []
+        for eu, ev in disc.chunks():
+            k = _mixed_blocks(disc, mat, scheme, eu, ev, load)
+            w = d_map[k["gi"]]
+            rot = d_map[_rotation_ids(k["gi"], nw)]
+            s1, s2 = k["s1_idx"], k["s2_idx"]
+            dd.append(_triplets(rot, rot, k["tt"]))
+            for key, s, t in (("1", s1, rot[:, 0::2]), ("2", s2, rot[:, 1::2])):
+                parts["ds" + key] += [
+                    _triplets(w, s, k[f"ds{key}_w"]),
+                    _triplets(t, s, k[f"ds{key}_t"]),
+                ]
+                parts[f"s{key}d"] += [
+                    _triplets(s, w, k[f"s{key}d_w"]),
+                    _triplets(s, t, k[f"s{key}d_t"]),
+                ]
+                parts[f"s{key}{key}"].append(_triplets(s, s, k[f"s{key}{key}"]))
+            f_ids.append(w.ravel())
+            f_vals.append(k["f_w"].ravel())
+        f_d += np.bincount(np.concatenate(f_ids), np.concatenate(f_vals), minlength=nd)
+        ns1, ns2 = disc.spaces.s1.ndof, disc.spaces.s2.ndof
+        for key, shape in (
+            ("ds1", (nd, ns1)),
+            ("ds2", (nd, ns2)),
+            ("s1d", (ns1, nd)),
+            ("s2d", (ns2, nd)),
+            ("s11", (ns1, ns1)),
+            ("s22", (ns2, ns2)),
+        ):
+            blocks[key].append(_csr(shape, parts[key]))
+    return MixedSystem(
+        k_dd=_csr((nd, nd), dd),
+        k_ds1=blocks["ds1"],
+        k_ds2=blocks["ds2"],
+        k_s1d=blocks["s1d"],
+        k_s2d=blocks["s2d"],
+        k_s11=blocks["s11"],
+        k_s22=blocks["s22"],
+        f_d=f_d,
+        scheme=scheme,
+        spaces=[d.spaces for d in discs],
+        boundary_d=boundary_d,
+        nd_full=nd,
+    )
+
+
+def _patch_boundary_d(spaces: FieldSpaces) -> np.ndarray:
+    return np.sort(_d_indices_of_points(boundary_point_ids(spaces.disp), spaces.disp.ndof))
 
 
 def assemble(
@@ -595,51 +678,10 @@ def assemble(
     scheme: str,
     load=None,
 ) -> MixedSystem:
-    """Assemble the patch-local mixed system from its element matrices."""
-    spaces = disc.spaces
-    nd = spaces.nd
-    ns1 = spaces.s1.ndof
-    ns2 = spaces.s2.ndof
-
-    tr = {k: ([], [], []) for k in ("dd", "ds1", "ds2", "s1d", "s2d", "s11", "s22")}
-    f_d = np.zeros(nd)
-
-    def add(key, rows, cols, block):
-        r, c, v = tr[key]
-        r.append(np.repeat(rows, len(cols)))
-        c.append(np.tile(cols, len(rows)))
-        v.append(block.ravel())
-
-    for elem in disc.elements():
-        em = element_matrices(disc, mat, scheme, elem, load)
-        add("dd", em.d_idx, em.d_idx, em.k_dd)
-        add("ds1", em.d_idx, em.s1_idx, em.k_ds1)
-        add("ds2", em.d_idx, em.s2_idx, em.k_ds2)
-        add("s1d", em.s1_idx, em.d_idx, em.k_s1d)
-        add("s2d", em.s2_idx, em.d_idx, em.k_s2d)
-        add("s11", em.s1_idx, em.s1_idx, em.k_s11)
-        add("s22", em.s2_idx, em.s2_idx, em.k_s22)
-        np.add.at(f_d, em.w_idx, em.f_w)
-
-    def mat_of(key, shape):
-        r, c, v = tr[key]
-        return build_csr(shape, np.concatenate(r), np.concatenate(c), np.concatenate(v))
-
-    nw = spaces.disp.ndof
-    boundary = _d_indices_of_points(boundary_point_ids(spaces.disp), nw)
-    return MixedSystem(
-        k_dd=mat_of("dd", (nd, nd)),
-        k_ds1=[mat_of("ds1", (nd, ns1))],
-        k_ds2=[mat_of("ds2", (nd, ns2))],
-        k_s1d=[mat_of("s1d", (ns1, nd))],
-        k_s2d=[mat_of("s2d", (ns2, nd))],
-        k_s11=[mat_of("s11", (ns1, ns1))],
-        k_s22=[mat_of("s22", (ns2, ns2))],
-        f_d=f_d,
-        scheme=scheme,
-        spaces=[spaces],
-        boundary_d=np.sort(boundary),
-        nd_full=nd,
+    """Assemble the patch-local mixed system with the batched element kernel."""
+    nd = disc.spaces.nd
+    return assemble_patches(
+        [disc], [np.arange(nd)], nd, mat, scheme, _patch_boundary_d(disc.spaces), load
     )
 
 
@@ -675,16 +717,54 @@ def apply_clamped_bc(system: MixedSystem) -> tuple[MixedSystem, dict]:
     return constrained, report
 
 
-def expand_displacement(system: MixedSystem, d_free: np.ndarray) -> np.ndarray:
-    """Scatter the free solution back into the full d vector (zeros on the boundary)."""
-    full = np.zeros(system.nd_full)
-    full[system.free_d] = d_free
+
+
+def expand_displacement(nd_full: int, free: np.ndarray, d_free: np.ndarray) -> np.ndarray:
+    """Scatter a free solution into the full d vector (zeros on the boundary)."""
+    full = np.zeros(nd_full)
+    full[free] = d_free
     return full
 
 
 # ---------------------------------------------------------------------------
 # primal (purely displacement-based) formulation
 # ---------------------------------------------------------------------------
+
+
+def assemble_primal_patches(
+    discs: list, d_maps: list, nd: int, mat: PlateMaterial, load=None
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Standard irreducible form of several patches in a shared d numbering.
+
+    Bending plus the kappa*G*t shear penalty, integrated by the batched
+    kernel and scattered once; see assemble_patches for d_maps.
+    """
+    parts = []
+    f = np.zeros(nd)
+    for disc, d_map in zip(discs, d_maps):
+        nw = disc.spaces.disp.ndof
+        f_ids, f_vals = [], []
+        for eu, ev in disc.chunks():
+            geo = disc.geometry(eu, ev)
+            r, gx, gy = geo["r"], geo["gx"], geo["gy"]
+            ne, nq, nloc = r.shape
+            w_phys = geo["w_param"] * geo["det"]
+            bs = np.zeros((ne, nq, 2, 3 * nloc))
+            bs[:, :, 0, :nloc] = gx
+            bs[:, :, 1, :nloc] = gy
+            bs[:, :, 0, nloc::2] = -r
+            bs[:, :, 1, nloc + 1 :: 2] = -r
+            bsw = (bs * w_phys[..., None, None]).reshape(ne, 2 * nq, -1)
+            k_e = mat.kgt * (_swap(bsw) @ bs.reshape(ne, 2 * nq, -1))
+            k_e[:, nloc:, nloc:] += _bending(gx, gy, w_phys, mat.d_bend)
+            ids = d_map[np.concatenate([geo["gi"], _rotation_ids(geo["gi"], nw)], axis=1)]
+            parts.append(_triplets(ids, ids, k_e))
+            if load is not None:
+                f_ids.append(ids[:, :nloc].ravel())
+                f_vals.append(_load_vector(geo, w_phys, load).ravel())
+        if f_ids:
+            f += np.bincount(np.concatenate(f_ids), np.concatenate(f_vals), minlength=nd)
+    return _csr((nd, nd), parts), f
 
 
 def assemble_primal(
@@ -697,48 +777,6 @@ def assemble_primal(
     Returns (K, f, boundary_d) in the same d DOF numbering as the mixed
     system.
     """
-    spaces = disc.spaces
-    nd = spaces.nd
-    rows, cols, vals = [], [], []
-    f = np.zeros(nd)
-    d_m = mat.d_bend
-    kgt = mat.kgt
-
-    for elem in disc.elements():
-        eu, ev = elem
-        ctx = disc.element_context(eu, ev)
-        gi, d_idx, _, _ = disc.element_dofs(eu, ev, ctx)
-        r, gx, gy = ctx["r"], ctx["gx"], ctx["gy"]
-        nloc = r.shape[1]
-        w_phys = ctx["w_param"] * ctx["det"]
-
-        b = np.zeros((r.shape[0], 3, 2 * nloc))
-        b[:, 0, 0::2] = gx
-        b[:, 1, 1::2] = gy
-        b[:, 2, 0::2] = gy
-        b[:, 2, 1::2] = gx
-        bw = b * w_phys[:, None, None]
-        k_theta = np.tensordot(
-            np.tensordot(bw, d_m, axes=([1], [0])), b, axes=([0, 2], [0, 1])
-        )
-
-        bs = np.zeros((r.shape[0], 2, 3 * nloc))
-        bs[:, 0, :nloc] = gx
-        bs[:, 1, :nloc] = gy
-        bs[:, 0, nloc::2] = -r
-        bs[:, 1, nloc + 1 :: 2] = -r
-        bsw = bs * w_phys[:, None, None]
-        k_e = kgt * np.tensordot(bsw, bs, axes=([0, 1], [0, 1]))
-        k_e[nloc:, nloc:] += k_theta
-
-        rows.append(np.repeat(d_idx, len(d_idx)))
-        cols.append(np.tile(d_idx, len(d_idx)))
-        vals.append(k_e.ravel())
-        if load is not None:
-            fv = np.asarray(load(ctx["xy"][:, 0], ctx["xy"][:, 1]), dtype=float)
-            np.add.at(f, gi, r.T @ (fv * w_phys))
-
-    k = build_csr((nd, nd), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    nw = spaces.disp.ndof
-    boundary = np.sort(_d_indices_of_points(boundary_point_ids(spaces.disp), nw))
-    return k, f, boundary
+    nd = disc.spaces.nd
+    k, f = assemble_primal_patches([disc], [np.arange(nd)], nd, mat, load)
+    return k, f, _patch_boundary_d(disc.spaces)

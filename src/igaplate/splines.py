@@ -107,28 +107,30 @@ def validate_knot_vector(values, degree: int) -> KnotVector:
     return KnotVector(values=u, degree=p)
 
 
-def find_span(kv: KnotVector, x: float) -> int:
-    """Index k with U[k] <= x < U[k+1]; the last nonempty span is closed."""
-    u = kv.values
-    lo, hi = kv.domain
-    if x < lo - 1e-14 or x > hi + 1e-14:
-        raise OutOfDomain(f"{x} outside parametric domain [{lo}, {hi}]")
-    x = min(max(x, lo), hi)
-    k = int(np.searchsorted(u, x, side="right")) - 1
-    k = min(max(k, kv.degree), kv.n - 1)
-    while u[k] == u[k + 1]:  # land on a nonempty span (repeated interior knot)
-        k -= 1
-    return k
+def basis_table(kv: KnotVector, xs, nderiv: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Cox-de Boor values and derivatives of the nonzero B-splines at many points.
 
-
-def _basis_ders(u: np.ndarray, p: int, span: int, x: float, nderiv: int) -> np.ndarray:
-    """Cox-de Boor values and derivatives of the p+1 nonzero functions.
-
-    Returns array of shape (nderiv+1, p+1); row 0 holds the values.
+    One vectorised pass over all points.  Returns (first, ders): first[k] is
+    the index of the first of the p+1 functions that are nonzero at xs[k],
+    ders[k] (nderiv+1, p+1) holds their values (row 0) and derivatives.
+    Spans are half-open, with the last nonempty span closed.
     """
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
+    u = kv.values
+    p = kv.degree
+    if nderiv > p:
+        raise SplineError(f"nderiv={nderiv} exceeds degree {p}")
+    x = np.atleast_1d(np.asarray(xs, dtype=float))
+    lo, hi = kv.domain
+    outside = (x < lo - 1e-14) | (x > hi + 1e-14)
+    if outside.any():
+        raise OutOfDomain(f"{x[outside][0]} outside parametric domain [{lo}, {hi}]")
+    # open knot vectors make u[span] < u[span + 1] for every clipped index
+    span = np.searchsorted(u, np.clip(x, lo, hi), side="right") - 1
+    span = np.clip(span, p, kv.n - 1)
+
+    ndu = np.empty((p + 1, p + 1) + x.shape)
+    left = np.empty((p + 1,) + x.shape)
+    right = np.empty((p + 1,) + x.shape)
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
         left[j] = x - u[span + 1 - j]
@@ -140,15 +142,14 @@ def _basis_ders(u: np.ndarray, p: int, span: int, x: float, nderiv: int) -> np.n
             ndu[r, j] = saved + right[r + 1] * temp
             saved = left[j - r] * temp
         ndu[j, j] = saved
-    nd = min(nderiv, p)
-    ders = np.zeros((nderiv + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    if nd > 0:
-        a = np.empty((2, p + 1))
+    ders = np.zeros((nderiv + 1, p + 1) + x.shape)
+    ders[0] = ndu[:, p]
+    if nderiv > 0:
+        a = np.empty((2, p + 1) + x.shape)
         for r in range(p + 1):
             s1, s2 = 0, 1
             a[0, 0] = 1.0
-            for k in range(1, nd + 1):
+            for k in range(1, nderiv + 1):
                 d = 0.0
                 rk = r - k
                 pk = p - k
@@ -159,17 +160,17 @@ def _basis_ders(u: np.ndarray, p: int, span: int, x: float, nderiv: int) -> np.n
                 j2 = k - 1 if r - 1 <= pk else p - r
                 for j in range(j1, j2 + 1):
                     a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                    d += a[s2, j] * ndu[rk + j, pk]
+                    d = d + a[s2, j] * ndu[rk + j, pk]
                 if r <= pk:
                     a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                    d += a[s2, k] * ndu[r, pk]
+                    d = d + a[s2, k] * ndu[r, pk]
                 ders[k, r] = d
                 s1, s2 = s2, s1
         fac = float(p)
-        for k in range(1, nd + 1):
-            ders[k, :] *= fac
+        for k in range(1, nderiv + 1):
+            ders[k] *= fac
             fac *= p - k
-    return ders
+    return span - p, np.moveaxis(ders, -1, 0)
 
 
 @dataclass(frozen=True)
@@ -186,27 +187,8 @@ class BasisEval:
 
 def eval_basis_1d(kv: KnotVector, x: float, nderiv: int = 0) -> BasisEval:
     """Values (and derivatives) of the p+1 B-splines that are nonzero at x."""
-    if nderiv > kv.degree:
-        raise SplineError(f"nderiv={nderiv} exceeds degree {kv.degree}")
-    span = find_span(kv, x)
-    ders = _basis_ders(kv.values, kv.degree, span, x, nderiv)
-    return BasisEval(first=span - kv.degree, ders=ders)
-
-
-def eval_basis_many(kv: KnotVector, xs: np.ndarray, nderiv: int = 0):
-    """Tabulate nonzero basis blocks at many points.
-
-    Returns (first, ders) with first of shape (npts,) and ders of shape
-    (npts, nderiv+1, p+1).
-    """
-    xs = np.asarray(xs, dtype=float)
-    first = np.empty(len(xs), dtype=int)
-    ders = np.empty((len(xs), nderiv + 1, kv.degree + 1))
-    for q, x in enumerate(xs):
-        be = eval_basis_1d(kv, float(x), nderiv)
-        first[q] = be.first
-        ders[q] = be.ders
-    return first, ders
+    first, ders = basis_table(kv, [x], nderiv)
+    return BasisEval(first=int(first[0]), ders=ders[0])
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +381,6 @@ def _elevated_knots(kv: KnotVector, dp: int) -> KnotVector:
     return validate_knot_vector(np.array(new), kv.degree + dp)
 
 
-def _collocation_matrix(kv: KnotVector, xs: np.ndarray) -> np.ndarray:
-    a = np.zeros((len(xs), kv.n))
-    for row, x in enumerate(xs):
-        be = eval_basis_1d(kv, float(x), 0)
-        a[row, be.first : be.first + kv.degree + 1] = be.values
-    return a
-
-
 def _transfer_curve(kv_old: KnotVector, kv_new: KnotVector, data: np.ndarray) -> np.ndarray:
     """Re-express curves from kv_old in kv_new (a superspace) exactly.
 
@@ -415,8 +389,10 @@ def _transfer_curve(kv_old: KnotVector, kv_new: KnotVector, data: np.ndarray) ->
     solver round-off.
     """
     g = kv_new.greville()
-    a = _collocation_matrix(kv_new, g)
-    b = _collocation_matrix(kv_old, g)
+    a, b = np.zeros((len(g), kv_new.n)), np.zeros((len(g), kv_old.n))
+    for m, kv in ((a, kv_new), (b, kv_old)):
+        first, ders = basis_table(kv, g)
+        m[np.arange(len(g))[:, None], first[:, None] + np.arange(kv.degree + 1)] = ders[:, 0]
     rhs = b @ data.reshape(kv_old.n, -1)
     coef = np.linalg.solve(a, rhs)
     return coef.reshape((kv_new.n,) + data.shape[1:])

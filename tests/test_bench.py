@@ -449,3 +449,20 @@ def test_cli_convergence_failure_exit_code(tmp_path, capsys):
         f"geometry = undistorted\nvariants = ead\ndegrees = 1\nlevels = 1,2\nout = {csv}\n"
     )
     assert main(["convergence", "--config", str(cfg)]) == 2
+
+
+def test_reproduce_studies_script_writes_csv(tmp_path):
+    import importlib.util
+
+    from igaplate.bench import CSV_HEADER
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "reproduce_studies.py")
+    spec = importlib.util.spec_from_file_location("reproduce_studies", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--out-dir", str(tmp_path), "--geometries", "undistorted", "--variants", "ead,mxd"]
+    argv += ["--degrees", "2", "--max-level", "2", "--thicknesses", "1"]
+    assert script.main(argv) == 0
+    lines = (tmp_path / "undistorted.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 1 + 2 * 2  # two variants x levels 1-2

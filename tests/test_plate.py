@@ -311,3 +311,151 @@ def test_primal_matches_mixed_for_thick_plate():
     w_prim = d_primal[:nw_free]
     scale = max(np.abs(w_prim).max(), 1e-30)
     assert np.abs(w_mixed - w_prim).max() / scale < 0.05
+
+
+# batched kernel ---------------------------------------------------------------------
+
+
+def _pointwise_blocks(disc, mat, scheme):
+    """K_theta-theta, K_dS1, K_S1S1 and the primal matrix by pointwise Gauss quadrature.
+
+    Independent of the batched kernel: every point is evaluated on its own
+    with eval_surface and eval_basis_1d, and all DOF ids are global.
+    """
+    from igaplate.splines import eval_basis_1d, eval_surface
+
+    spaces = disc.spaces
+    s1 = spaces.s1
+    nw, m = spaces.disp.ndof, spaces.disp.kv_v.n
+    nd, ns1 = 3 * nw, s1.ndof
+    d_m, kgt = mat.d_bend, mat.kgt
+    k_tt, k_ds1 = np.zeros((2 * nw, 2 * nw)), np.zeros((nd, ns1))
+    k_s11, k_primal = np.zeros((ns1, ns1)), np.zeros((nd, nd))
+    xg, wg = np.polynomial.legendre.leggauss(disc.nq1)
+    for _, a, b in spaces.disp.kv_u.spans():
+        for _, c, d in spaces.disp.kv_v.spans():
+            for xi, wx in zip(0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg):
+                for eta, wy in zip(0.5 * (c + d) + 0.5 * (d - c) * xg, 0.5 * (d - c) * wg):
+                    ev = eval_surface(spaces.patch, xi, eta)
+                    bas = ev.basis
+                    pu, pv = bas.values.shape
+                    iu, iv = bas.first_u + np.arange(pu), bas.first_v + np.arange(pv)
+                    ids = np.add.outer(iu * m, iv).ravel()
+                    jinv = np.linalg.inv(ev.jac)
+                    gx = (jinv[0, 0] * bas.grad_xi + jinv[1, 0] * bas.grad_eta).ravel()
+                    gy = (jinv[0, 1] * bas.grad_xi + jinv[1, 1] * bas.grad_eta).ravel()
+                    r = bas.values.ravel()
+                    w_phys = wx * wy * ev.det_jac
+
+                    bend = np.zeros((3, 2 * nw))
+                    bend[0, 2 * ids], bend[1, 2 * ids + 1] = gx, gy
+                    bend[2, 2 * ids], bend[2, 2 * ids + 1] = gy, gx
+                    k_theta = w_phys * bend.T @ d_m @ bend
+                    k_tt += k_theta
+
+                    shear = np.zeros((2, nd))
+                    shear[0, ids], shear[1, ids] = gx, gy
+                    shear[0, nw + 2 * ids], shear[1, nw + 2 * ids + 1] = -r, -r
+                    k_primal += kgt * w_phys * shear.T @ shear
+                    k_primal[nw:, nw:] += k_theta
+
+                    bu, bv = eval_basis_1d(s1.kv_u, xi), eval_basis_1d(s1.kv_v, eta)
+                    n1 = np.outer(bu.values, bv.values)
+                    iu1 = bu.first + np.arange(len(bu.values))
+                    iv1 = bv.first + np.arange(len(bv.values))
+                    s_ids = np.add.outer(iu1 * s1.kv_v.n, iv1).ravel()
+                    if s1.weights is not None:
+                        n1 = n1 * s1.weights[np.ix_(iu1, iv1)]
+                        n1 = n1 / n1.sum()
+                    n1 = n1.ravel()
+                    k_ds1[np.ix_(ids, s_ids)] += np.outer(gx, n1) * w_phys
+                    k_ds1[np.ix_(nw + 2 * ids, s_ids)] -= np.outer(r, n1) * w_phys
+                    if scheme == "galerkin":
+                        k_s11[np.ix_(s_ids, s_ids)] += np.outer(n1, n1) * w_phys / kgt
+                    else:
+                        w_shear = wx * wy * (1.0 if s1.weights is None else bas.weight**2)
+                        k_s11[np.ix_(s_ids, s_ids)] += np.outer(n1, n1) * w_shear
+    return k_tt, k_ds1, k_s11, k_primal
+
+
+@pytest.mark.parametrize(
+    "patch,p,level",
+    [
+        (geometry_catalog("nurbs_distorted").patches[0], 2, 1),
+        (geometry_catalog("mp_various").patches[0], 3, 1),
+    ],
+    ids=["nurbs_distorted", "mp_various_patch0"],
+)
+def test_batched_kernel_matches_pointwise_quadrature(patch, p, level):
+    disc = PatchDiscretization(build_field_spaces(patch, p, level=level))
+    assert not disc.unit_weights and disc.spaces.s1.weights is not None
+    mat = material(10000.0, 0.3, 0.1)
+    nw = disc.spaces.disp.ndof
+    for scheme in ("galerkin", "weighted"):
+        k_tt, k_ds1, k_s11, k_primal = _pointwise_blocks(disc, mat, scheme)
+        system = assemble(disc, mat, scheme)
+        k, _, _ = assemble_primal(disc, mat)
+        for got, want in (
+            (system.k_dd[nw:, nw:], k_tt),
+            (system.k_ds1[0], k_ds1),
+            (system.k_s11[0], k_s11),
+            (k, k_primal),
+        ):
+            assert np.abs(got.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_folded_control_net_raises_degenerate_jacobian():
+    from igaplate.plate import DegenerateJacobian
+    from igaplate.splines import ControlNet, SurfacePatch, eval_surface, validate_knot_vector
+
+    kv = validate_knot_vector([0, 0, 0, 1, 1, 1], 2)
+    g = np.array([0.0, 0.5, 1.0])
+    pts = np.zeros((3, 3, 3))
+    pts[..., 0], pts[..., 1] = g[:, None], g[None, :]
+    pts[1, 1, :2] = (-1.0, -1.0)  # pulled past the corner: the map folds near (0, 0)
+    patch = SurfacePatch(kv, kv, ControlNet(points=pts, weights=np.ones((3, 3))))
+    grid = np.linspace(0.0, 1.0, 11)
+    dets = [eval_surface(patch, x, y).det_jac for x in grid for y in grid]
+    assert min(dets) < 0 < max(dets)
+    disc = PatchDiscretization(build_field_spaces(patch, 2, level=1))
+    mat = material(10000.0, 0.3, 0.1)
+    with pytest.raises(DegenerateJacobian, match=r"element \(0, 0\)"):
+        assemble(disc, mat, "weighted")
+    with pytest.raises(DegenerateJacobian, match=r"element \(0, 0\)"):
+        assemble_primal(disc, mat)
+
+
+@pytest.mark.parametrize("geometry", ["undistorted", "mp_various"])
+def test_mixed_blocks_store_no_zeros(geometry):
+    from igaplate.condense import SolveConfig, prepare_problem
+    from igaplate.multipatch import assemble_multipatch
+
+    for variant in ("mxd", "ead"):
+        cfg = SolveConfig(variant=variant, degree=3, level=1, thickness=0.1)
+        ctx = prepare_problem(geometry_catalog(geometry), cfg)
+        system = assemble_multipatch(ctx.refined, ctx.discs, cfg.make_material(), cfg.scheme)
+        blocks = [system.k_dd]
+        for name in ("k_ds1", "k_ds2", "k_s1d", "k_s2d", "k_s11", "k_s22"):
+            blocks.extend(getattr(system, name))
+        assert all(np.all(b.data != 0.0) for b in blocks)
+        # the w rows of K_dd are structurally zero and hold no entries
+        assert system.k_dd[: ctx.refined.n_points].nnz == 0
+
+
+def test_chunk_size_changes_no_block(monkeypatch):
+    import igaplate.plate as plate
+
+    disc = _disc(p=2, level=3, geometry="nurbs_distorted")  # 64 elements
+    mat = material(10000.0, 0.3, 0.1)
+
+    def load(x, y):
+        return 1.0 + x * y
+
+    whole = assemble(disc, mat, "weighted", load)
+    monkeypatch.setattr(plate, "CHUNK", 5)
+    parts = assemble(disc, mat, "weighted", load)
+    for name in ("k_dd", "k_ds1", "k_ds2", "k_s1d", "k_s2d", "k_s11", "k_s22"):
+        a, b = getattr(whole, name), getattr(parts, name)
+        a, b = (a, b) if name == "k_dd" else (a[0], b[0])
+        assert (a != b).nnz == 0
+    assert np.array_equal(whole.f_d, parts.f_d)

@@ -12,6 +12,7 @@ from igaplate.splines import (
     NotOpen,
     OutOfDomain,
     SurfacePatch,
+    basis_table,
     continuity_profile,
     elevate_degree,
     eval_basis_1d,
@@ -151,6 +152,25 @@ def test_derivative_matches_finite_difference(kv, x):
 def test_derivatives_sum_to_zero(kv):
     be = eval_basis_1d(kv, 0.37, nderiv=1)
     assert abs(be.ders[1].sum()) < 1e-10
+
+
+def test_basis_table_matches_scipy_bspline():
+    # independent reference: scipy's B-splines with unit coefficient vectors,
+    # on a knot vector with a repeated (C1) interior knot, its knots and ends
+    from scipy.interpolate import BSpline
+
+    kv = validate_knot_vector([0, 0, 0, 0, 0.2, 0.5, 0.5, 0.7, 1, 1, 1, 1], 3)
+    xs = np.concatenate([np.linspace(0.0, 1.0, 41), [0.2, 0.5, 0.7]])
+    first, ders = basis_table(kv, xs, nderiv=3)
+    assert ders.shape == (len(xs), 4, 4)
+    local = first[:, None] + np.arange(4)
+    for nu in range(4):
+        full = BSpline(kv.values, np.eye(kv.n), 3)(xs, nu)
+        want = np.take_along_axis(full, local, axis=1)
+        assert np.abs(ders[:, nu] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+    # one point through eval_basis_1d is the same tabulation
+    be = eval_basis_1d(kv, 0.5, nderiv=3)
+    assert be.first == first[42] and np.array_equal(be.ders, ders[42])
 
 
 def test_local_support():

@@ -590,18 +590,20 @@ def run_convergence_study(config: StudyConfig) -> list[ConvergenceRecord]:
                         shear_weighting=config.shear_weighting,
                         continuity_reduction=config.continuity_reduction,
                     )
-                    elems = spans * 2**level
+                    cell = dict(
+                        geometry=config.geometry,
+                        variant=variant,
+                        p=p,
+                        t=t,
+                        level=level,
+                        elems_per_dir=spans * 2**level,
+                    )
                     try:
                         sol, err = run_single(assembly, problem, cfg)
                     except Exception as exc:  # record and continue
                         records.append(
                             ConvergenceRecord(
-                                geometry=config.geometry,
-                                variant=variant,
-                                p=p,
-                                t=t,
-                                level=level,
-                                elems_per_dir=elems,
+                                **cell,
                                 n_dof_primal=None,
                                 n_dof_mixed=None,
                                 nnz_condensed=None,
@@ -621,12 +623,7 @@ def run_convergence_study(config: StudyConfig) -> list[ConvergenceRecord]:
                     prev_err = err
                     records.append(
                         ConvergenceRecord(
-                            geometry=config.geometry,
-                            variant=variant,
-                            p=p,
-                            t=t,
-                            level=level,
-                            elems_per_dir=elems,
+                            **cell,
                             n_dof_primal=d["n_dof_primal"],
                             n_dof_mixed=d["n_dof_mixed"],
                             nnz_condensed=d["nnz_solved"],

@@ -20,21 +20,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .duals import DimensionMismatch, DualTransform2D, dual_transform_1d, dual_transform_2d
-from .multipatch import (
-    PatchAssembly,
-    assemble_multipatch,
-    assemble_primal_multipatch,
-    build_dof_map,
-    single_patch_assembly,
-)
+from .multipatch import PatchAssembly, assemble_multipatch, assemble_primal_multipatch, build_dof_map
 from .plate import (
     MixedSystem,
     PatchDiscretization,
     apply_clamped_bc,
     build_field_spaces,
+    d_ids,
     expand_displacement,
+    free_dofs,
     material,
 )
 from .sparse import DirectSolver, nnz_and_bandwidth
@@ -100,7 +97,7 @@ class ProblemContext:
 
 def prepare_problem(assembly: PatchAssembly | SurfacePatch, config: SolveConfig) -> ProblemContext:
     if isinstance(assembly, SurfacePatch):
-        assembly = single_patch_assembly(assembly)
+        assembly = build_dof_map([assembly])
     spaces = [
         build_field_spaces(
             patch,
@@ -327,17 +324,6 @@ def pg_shear_rows_elementwise(disc: PatchDiscretization, mat, t1: DualTransform2
 # ---------------------------------------------------------------------------
 
 
-def condense_variant(system: MixedSystem, ctx: ProblemContext, config: SolveConfig) -> CondensedSystem:
-    """Transform (for dual variants) and condense a weighted mixed system."""
-    if config.variant in ("ad", "ead"):
-        t1s, t2s = build_transforms(ctx)
-        system = pg_transform(system, t1s, t2s)
-        return condense(system, lumped=True)
-    if config.variant == "lmp":
-        return condense(system, lumped=True)
-    raise ValueError(f"variant {config.variant!r} does not use lumped condensation")
-
-
 @dataclass
 class VariantSolution:
     """Solved displacement state plus diagnostics and evaluation context."""
@@ -355,95 +341,76 @@ class VariantSolution:
 
     def patch_theta_coeffs(self, patch_idx: int) -> np.ndarray:
         """(nw_local, 2) rotation coefficients of one patch."""
-        ng = self.ctx.refined.n_points
-        pm = self.ctx.refined.point_maps[patch_idx]
-        return np.stack([self.d_full[ng + 2 * pm], self.d_full[ng + 2 * pm + 1]], axis=1)
+        points = self.ctx.refined.point_maps[patch_idx][:, None]
+        return self.d_full[d_ids(points, self.ctx.refined.n_points)[:, 1:]]
 
 
-def _condition_estimate(a) -> float | None:
+def _condition_estimate(solver: DirectSolver) -> float | None:
+    """1-norm condition estimate of the solved matrix from the solver's own factor."""
     try:
-        import scipy.sparse.linalg as spla
-
-        a_csc = sp.csc_matrix(a)
-        lu = spla.splu(a_csc)
         op = spla.LinearOperator(
-            a.shape,
-            matvec=lu.solve,
-            rmatvec=lambda b: lu.solve(b, trans="T"),
+            solver.a.shape,
+            matvec=solver._lu.solve,
+            rmatvec=lambda b: solver._lu.solve(b, trans="T"),
         )
-        return float(spla.onenormest(a_csc) * spla.onenormest(op))
+        return float(spla.onenormest(solver.a) * spla.onenormest(op))
     except Exception:
         return None
 
 
 def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
-    """Build spaces, assemble, and solve with the requested formulation."""
+    """Build spaces, assemble, and solve with the requested formulation.
+
+    The variants differ only in the (matrix, rhs) they build; all of them
+    share one factorisation and one solve.
+    """
     mat = config.make_material()
     t0 = time.perf_counter()
     ctx = prepare_problem(assembly, config)
     diagnostics: dict = {"variant": config.variant}
-
-    ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
+    lump_dev = None
 
     if config.variant == "std":
         k, f, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, mat, load)
-        mask = np.ones(k.shape[0], dtype=bool)
-        mask[boundary] = False
-        free = np.flatnonzero(mask)
-        kf = k[np.ix_(free, free)].tocsr()
-        ff = f[free]
-        t1 = time.perf_counter()
-        solver = DirectSolver(kf)
-        t2 = time.perf_counter()
-        d_free = solver.solve(ff)
-        t3 = time.perf_counter()
-        shear = None
-        solved = kf
-        lump_dev = None
+        free = free_dofs(k.shape[0], boundary)
+        matrix, rhs = k[np.ix_(free, free)].tocsr(), f[free]
     else:
         system = assemble_mixed(ctx, mat, load)
         free = system.free_d
         if config.variant == "mxd":
-            a, rhs = system.monolithic()
-            t1 = time.perf_counter()
-            solver = DirectSolver(a)
-            t2 = time.perf_counter()
-            x = solver.solve(rhs)
-            t3 = time.perf_counter()
-            d_free = x[: system.nd]
-            shear = []
-            off = system.nd
-            ns1s = [m.shape[0] for m in system.k_s11]
-            ns2s = [m.shape[0] for m in system.k_s22]
-            s1_parts = []
-            for n in ns1s:
-                s1_parts.append(x[off : off + n])
-                off += n
-            s2_parts = []
-            for n in ns2s:
-                s2_parts.append(x[off : off + n])
-                off += n
-            shear = list(zip(s1_parts, s2_parts))
-            solved = a
-            lump_dev = None
+            matrix, rhs = system.monolithic()
         else:
-            cond = condense_variant(system, ctx, config)
-            t1 = time.perf_counter()
-            solver = DirectSolver(cond.k_cond)
-            t2 = time.perf_counter()
-            d_free = solver.solve(cond.f_d)
-            t3 = time.perf_counter()
-            shear = recover_shear(cond, d_free)
-            solved = cond.k_cond
+            if config.variant in ("ad", "ead"):
+                t1s, t2s = build_transforms(ctx)
+                system = pg_transform(system, t1s, t2s)
+            cond = condense(system, lumped=True)
+            matrix, rhs = cond.k_cond, cond.f_d
             lump_dev = cond.lump_dev
             diagnostics["condense_mode"] = cond.mode
 
-    nnz, band = nnz_and_bandwidth(solved)
+    t1 = time.perf_counter()
+    solver = DirectSolver(matrix)
+    t2 = time.perf_counter()
+    x = solver.solve(rhs)
+    t3 = time.perf_counter()
+
+    if config.variant == "std":
+        d_free, shear = x, None
+    elif config.variant == "mxd":
+        # x holds d, then S1 of every patch, then S2 of every patch
+        sizes = [system.nd] + [m.shape[0] for m in system.k_s11 + system.k_s22]
+        d_free, *parts = np.split(x, np.cumsum(sizes)[:-1])
+        shear = list(zip(parts[: system.n_patches], parts[system.n_patches :]))
+    else:
+        d_free, shear = x, recover_shear(cond, x)
+
+    ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
+    nnz, band = nnz_and_bandwidth(matrix)
     diagnostics.update(
         {
             "n_dof_primal": int(len(free)),
             "n_dof_mixed": int(len(free) + ns_total),
-            "n_dof_solved": int(solved.shape[0]),
+            "n_dof_solved": int(matrix.shape[0]),
             "nnz_solved": nnz,
             "bandwidth": band,
             "assembly_s": t1 - t0,
@@ -453,7 +420,7 @@ def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
         }
     )
     if config.estimate_condition:
-        diagnostics["cond_est"] = _condition_estimate(solved)
+        diagnostics["cond_est"] = _condition_estimate(solver)
 
     nd_full = 3 * ctx.refined.n_points
     return VariantSolution(

@@ -25,7 +25,7 @@ constraint set and a locally widened band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -225,15 +225,7 @@ def dual_transform_1d(kv: KnotVector, r: int, variant: str = "AD") -> DualTransf
         if not extra:
             # no limited-continuity knots: identical to the AD transform
             base = dual_transform_1d(kv, r, "AD")
-            result = DualTransform1D(
-                matrix=base.matrix,
-                variant="eAD",
-                reproduction_degree=r,
-                knots=kv,
-                enhanced_rows=enhanced,
-                reproduction_residual=base.reproduction_residual,
-                biorthogonality=base.biorthogonality,
-            )
+            result = replace(base, variant="eAD", enhanced_rows=enhanced)
             _transform_cache[key] = result
             return result
         targets.extend(extra)
@@ -252,10 +244,7 @@ def dual_transform_1d(kv: KnotVector, r: int, variant: str = "AD") -> DualTransf
             s = _solve_banded_duals(build_kv, build_gram, targets, r, enhanced, extra_band)
         except ReproductionFailure:
             continue
-        resid = 0.0
-        for a in targets:
-            err = np.abs(s @ (build_gram @ a) - a).max() / max(1.0, np.abs(a).max())
-            resid = max(resid, float(err))
+        resid = _reproduction_residual(s, build_gram, targets)
         if resid <= 1e-8:
             break
     if s is None or resid > 1e-8:
@@ -266,11 +255,7 @@ def dual_transform_1d(kv: KnotVector, r: int, variant: str = "AD") -> DualTransf
 
     # diagnostics refer to the true space: the AD transform on a knot vector
     # with limited continuity loses exact reproduction there by design
-    true_resid = 0.0
-    for k in range(r + 1):
-        a = monomial_coeffs(kv, k)
-        err = np.abs(s @ (gram @ a) - a).max() / max(1.0, np.abs(a).max())
-        true_resid = max(true_resid, float(err))
+    true_resid = _reproduction_residual(s, gram, [monomial_coeffs(kv, k) for k in range(r + 1)])
     biorth = float(np.abs(s @ gram - np.eye(kv.n)).max())
     s.setflags(write=False)
     result = DualTransform1D(
@@ -284,6 +269,15 @@ def dual_transform_1d(kv: KnotVector, r: int, variant: str = "AD") -> DualTransf
     )
     _transform_cache[key] = result
     return result
+
+
+def _reproduction_residual(s: np.ndarray, gram: np.ndarray, targets) -> float:
+    """Largest error of S (G a) = a over the targets a, relative to max(1, max|a|)."""
+    resid = 0.0
+    for a in targets:
+        err = np.abs(s @ (gram @ a) - a).max() / max(1.0, np.abs(a).max())
+        resid = max(resid, float(err))
+    return resid
 
 
 def _solve_banded_duals(kv, gram, targets, r, enhanced, extra_band=None) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plate import MixedSystem, assemble_patches, assemble_primal_patches, boundary_point_ids
+from .plate import MixedSystem, assemble_patches, assemble_primal_patches, d_ids
 from .splines import SurfacePatch
 
 
@@ -192,33 +192,13 @@ def build_dof_map(patches, interfaces=None, tol: float = 1e-12) -> PatchAssembly
     )
 
 
-def single_patch_assembly(patch: SurfacePatch) -> PatchAssembly:
-    nw = patch.net.shape[0] * patch.net.shape[1]
-    return PatchAssembly(
-        patches=[patch],
-        interfaces=[],
-        point_maps=[np.arange(nw)],
-        n_points=nw,
-        boundary_points=boundary_point_ids(patch.net),
-    )
-
-
 def d_index_map(pa: PatchAssembly, patch_idx: int) -> np.ndarray:
     """Patch-local d DOFs -> global d DOFs (w block, then rotation pairs)."""
-    pm = pa.point_maps[patch_idx]
-    ng = pa.n_points
-    nw_loc = len(pm)
-    out = np.empty(3 * nw_loc, dtype=int)
-    out[:nw_loc] = pm
-    out[nw_loc::2] = ng + 2 * pm
-    out[nw_loc + 1 :: 2] = ng + 2 * pm + 1
-    return out
+    return d_ids(pa.point_maps[patch_idx], pa.n_points)
 
 
 def boundary_d_indices(pa: PatchAssembly) -> np.ndarray:
-    pts = pa.boundary_points
-    ng = pa.n_points
-    return np.sort(np.concatenate([pts, ng + 2 * pts, ng + 2 * pts + 1]))
+    return np.sort(d_ids(pa.boundary_points, pa.n_points))
 
 
 def assemble_multipatch(

@@ -20,7 +20,7 @@ Bivariate index ordering is k = i*m + j with i along xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,10 +117,6 @@ class FieldSpaces:
     @property
     def degrees(self) -> tuple[int, int]:
         return self.disp.kv_u.degree, self.disp.kv_v.degree
-
-    @property
-    def n_disp_points(self) -> int:
-        return self.disp.ndof
 
     @property
     def nd(self) -> int:
@@ -367,13 +363,28 @@ class PatchDiscretization:
     def element_dofs(self, eu: int, ev: int, ctx: dict):
         """Patch-local (w point, d, S1, S2) index arrays of one element."""
         gi = ctx["gi"]
-        d_idx = np.concatenate([gi, _rotation_ids(gi, self.spaces.disp.ndof)])
-        return gi, d_idx, ctx["s1_idx"], ctx["s2_idx"]
+        return gi, d_ids(gi, self.spaces.disp.ndof), ctx["s1_idx"], ctx["s2_idx"]
 
 
 def _rotation_ids(gi: np.ndarray, nw: int) -> np.ndarray:
     """Interleaved (theta_1, theta_2) d ids of w-point ids (..., L) -> (..., 2L)."""
     return (nw + 2 * gi[..., None] + np.arange(2)).reshape(gi.shape[:-1] + (-1,))
+
+
+def d_ids(points: np.ndarray, n_points: int) -> np.ndarray:
+    """d ids of point ids (..., L) -> (..., 3L): their w ids, then their rotation pairs.
+
+    The one owner of the d layout: all n_points w DOFs first, then the
+    interleaved (theta_1, theta_2) pair of every point.
+    """
+    return np.concatenate([points, _rotation_ids(points, n_points)], axis=-1)
+
+
+def free_dofs(n: int, fixed: np.ndarray) -> np.ndarray:
+    """Sorted ids of range(n) that are not in fixed."""
+    mask = np.ones(n, dtype=bool)
+    mask[fixed] = False
+    return np.flatnonzero(mask)
 
 
 def _bending(gx: np.ndarray, gy: np.ndarray, w: np.ndarray, d_m: np.ndarray) -> np.ndarray:
@@ -495,7 +506,7 @@ def element_matrices(
         k_s11=k["s11"],
         k_s22=k["s22"],
         f_w=k["f_w"],
-        d_idx=np.concatenate([gi, _rotation_ids(gi, disc.spaces.disp.ndof)]),
+        d_idx=d_ids(gi, disc.spaces.disp.ndof),
         w_idx=gi,
         s1_idx=s1_idx,
         s2_idx=s2_idx,
@@ -567,10 +578,6 @@ def boundary_point_ids(grid) -> np.ndarray:
     on_edge[[0, -1], :] = True
     on_edge[:, [0, -1]] = True
     return np.flatnonzero(on_edge)
-
-
-def _d_indices_of_points(pts: np.ndarray, nw: int) -> np.ndarray:
-    return np.concatenate([pts, nw + 2 * pts, nw + 2 * pts + 1])
 
 
 def _triplets(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray) -> tuple:
@@ -669,7 +676,7 @@ def assemble_patches(
 
 
 def _patch_boundary_d(spaces: FieldSpaces) -> np.ndarray:
-    return np.sort(_d_indices_of_points(boundary_point_ids(spaces.disp), spaces.disp.ndof))
+    return np.sort(d_ids(boundary_point_ids(spaces.disp), spaces.disp.ndof))
 
 
 def assemble(
@@ -689,9 +696,7 @@ def apply_clamped_bc(system: MixedSystem) -> tuple[MixedSystem, dict]:
     """Eliminate all boundary w/Theta DOFs (clamped edge); shear stays free."""
     if system.free_d is not None:
         raise ValueError("boundary conditions already applied")
-    mask = np.ones(system.nd_full, dtype=bool)
-    mask[system.boundary_d] = False
-    free = np.flatnonzero(mask)
+    free = free_dofs(system.nd_full, system.boundary_d)
 
     constrained = MixedSystem(
         k_dd=system.k_dd[np.ix_(free, free)].tocsr(),
@@ -757,7 +762,7 @@ def assemble_primal_patches(
             bsw = (bs * w_phys[..., None, None]).reshape(ne, 2 * nq, -1)
             k_e = mat.kgt * (_swap(bsw) @ bs.reshape(ne, 2 * nq, -1))
             k_e[:, nloc:, nloc:] += _bending(gx, gy, w_phys, mat.d_bend)
-            ids = d_map[np.concatenate([geo["gi"], _rotation_ids(geo["gi"], nw)], axis=1)]
+            ids = d_map[d_ids(geo["gi"], nw)]
             parts.append(_triplets(ids, ids, k_e))
             if load is not None:
                 f_ids.append(ids[:, :nloc].ravel())

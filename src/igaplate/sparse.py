@@ -39,42 +39,25 @@ def build_csr(shape, rows, cols, vals) -> sp.csr_matrix:
 class DirectSolver:
     """Factorise once, solve many; every accepted solve meets a residual bound.
 
-    Handles nonsymmetric matrices.  Raises SingularMatrix if factorisation
-    fails or the residual bound ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||)
-    is violated.
+    Handles nonsymmetric matrices; any input, dense ones included, is
+    factorised by SuperLU in CSC form.  Raises SingularMatrix if
+    factorisation fails or the residual bound
+    ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||) is violated.
     """
 
     def __init__(self, a):
-        if sp.issparse(a):
-            self.a = a.tocsc()
-            self.dense = False
-        else:
-            self.a = np.asarray(a, dtype=float)
-            self.dense = True
+        self.a = sp.csc_matrix(a, dtype=float)
         if self.a.shape[0] != self.a.shape[1]:
             raise SingularMatrix("matrix must be square")
         try:
-            if self.dense:
-                import scipy.linalg
-
-                self._lu = scipy.linalg.lu_factor(self.a)
-            else:
-                self._lu = spla.splu(self.a)
-        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+            self._lu = spla.splu(self.a)
+        except (RuntimeError, ValueError) as exc:
             raise SingularMatrix(str(exc)) from exc
-        if self.dense:
-            self.norm_a = np.linalg.norm(self.a, np.inf) if self.a.size else 0.0
-        else:
-            self.norm_a = spla.norm(self.a, np.inf) if self.a.nnz else 0.0
+        self.norm_a = spla.norm(self.a, np.inf) if self.a.nnz else 0.0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        if self.dense:
-            import scipy.linalg
-
-            x = scipy.linalg.lu_solve(self._lu, b)
-        else:
-            x = self._lu.solve(b)
+        x = self._lu.solve(b)
         if not np.all(np.isfinite(x)):
             raise SingularMatrix("solve produced non-finite entries")
         resid = np.linalg.norm(self.a @ x - b)

@@ -53,10 +53,6 @@ class KnotVector:
     def domain(self) -> tuple[float, float]:
         return float(self.values[0]), float(self.values[-1])
 
-    def breakpoints(self) -> np.ndarray:
-        """Distinct knot values (element boundaries)."""
-        return np.unique(self.values)
-
     def spans(self) -> list[tuple[int, float, float]]:
         """Nonempty spans as (span_index k, left, right) with U[k] < U[k+1]."""
         u = self.values
@@ -335,10 +331,6 @@ def _insert_knot_curve(u: np.ndarray, p: int, pw: np.ndarray, x: float):
         new[i] = alpha * pw[i] + (1.0 - alpha) * pw[i - 1]
     new[k + 1 :] = pw[k:]
     return np.insert(u, k + 1, x), new
-
-
-def _interior_multiplicity(kv: KnotVector, x: float) -> int:
-    return int(np.sum(np.abs(kv.values - x) < 1e-14))
 
 
 def insert_knots(patch: SurfacePatch, new_knots_u=(), new_knots_v=()) -> SurfacePatch:

@@ -466,3 +466,17 @@ def test_reproduce_studies_script_writes_csv(tmp_path):
     lines = (tmp_path / "undistorted.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 2 * 2  # two variants x levels 1-2
+
+
+def test_plot_sparsity_script_prints_every_stage(capsys):
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "plot_sparsity.py")
+    spec = importlib.util.spec_from_file_location("plot_sparsity", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--geometry", "undistorted", "--degree", "2", "--level", "1", "--thickness", "0.1"]
+    assert script.main(argv) == 0
+    out = capsys.readouterr().out
+    for stage in ("mixed saddle system:", "dual-transformed:", "condensed (lumped):"):
+        assert stage in out

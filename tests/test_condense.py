@@ -318,6 +318,38 @@ def test_condition_estimate_recorded_on_request():
     assert sol.diagnostics["cond_est"] >= 1.0
 
 
+@pytest.mark.parametrize("variant", ["std", "mxd", "ead"])
+def test_condition_estimate_reuses_the_factorisation(variant, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    cfg = SolveConfig(variant=variant, degree=2, level=1, thickness=0.1, estimate_condition=True)
+    sol = solve_variant(geometry_catalog("undistorted"), cfg, load=lambda x, y: np.ones_like(x))
+    assert sol.diagnostics["cond_est"] is not None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("geometry", ["undistorted", "c0_single"])
+@pytest.mark.parametrize("variant", ["mxd", "ead"])
+def test_bare_patch_solves_like_its_catalog_assembly(geometry, variant):
+    pa = geometry_catalog(geometry)
+    cfg = SolveConfig(variant=variant, degree=2, level=1, thickness=0.1)
+    load = BenchmarkProblem(geometry, thickness=0.1).load
+    bare = solve_variant(pa.patches[0], cfg, load=load)
+    wrapped = solve_variant(pa, cfg, load=load)
+    assert bare.ctx.coarse.interfaces == pa.interfaces == []
+    assert bare.ctx.coarse.n_points == pa.n_points
+    assert np.array_equal(bare.ctx.coarse.boundary_points, pa.boundary_points)
+    assert bare.d_full.tobytes() == wrapped.d_full.tobytes()
+
+
 def test_galerkin_vs_weighted_full_solves_agree():
     """Both uncondensed schemes discretise the same problem: centre deflections
     agree within 1% on a coarse mesh at t=0.01."""

@@ -79,3 +79,12 @@ def test_nnz_and_bandwidth_tridiagonal():
 def test_nnz_prunes_stored_near_zeros():
     a = sp.csr_matrix((np.array([1.0, 1e-15]), (np.array([0, 0]), np.array([0, 3]))), shape=(4, 4))
     assert nnz_and_bandwidth(a) == (1, 0)
+
+
+def test_dense_input_factorised_like_its_sparse_form():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((20, 20)) + 10 * np.eye(20)
+    b = rng.standard_normal(20)
+    assert solve_direct(a, b).tobytes() == solve_direct(sp.csr_matrix(a), b).tobytes()
+    with pytest.raises(SingularMatrix):
+        solve_direct(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -482,21 +482,23 @@ class StudyConfig:
 
 @dataclass
 class ConvergenceRecord:
+    """One study cell; a failed cell keeps the defaults and names its exception."""
+
     geometry: str
     variant: str
     p: int
     t: float
     level: int
     elems_per_dir: int
-    n_dof_primal: int | None
-    n_dof_mixed: int | None
-    nnz_condensed: int | None
-    l2_error: float | None
-    rate: float | None
-    assembly_s: float
-    factor_s: float
-    solve_s: float
-    lump_dev: float | None
+    n_dof_primal: int | None = None
+    n_dof_mixed: int | None = None
+    nnz_condensed: int | None = None
+    l2_error: float | None = None
+    rate: float | None = None
+    assembly_s: float = 0.0
+    factor_s: float = 0.0
+    solve_s: float = 0.0
+    lump_dev: float | None = None
     error: str | None = None
 
     @property
@@ -504,10 +506,10 @@ class ConvergenceRecord:
         return 1.0 / self.elems_per_dir
 
 
-CSV_HEADER = (
-    "geometry,variant,p,t,level,elems_per_dir,n_dof_primal,n_dof_mixed,"
-    "nnz_condensed,l2_error,rate,assembly_s,factor_s,solve_s,lump_dev"
-)
+# one column per record field; a failed cell shows "error:<name>" as its l2_error
+_CSV_FIELDS = tuple(f.name for f in fields(ConvergenceRecord) if f.name != "error")
+CSV_HEADER = ",".join(_CSV_FIELDS)
+_TIMING_FIELDS = ("assembly_s", "factor_s", "solve_s")
 
 
 def _fmt(value) -> str:
@@ -521,29 +523,12 @@ def _fmt(value) -> str:
 def records_to_csv(records, record_timings: bool = True) -> str:
     lines = [CSV_HEADER]
     for r in records:
-        err_field = f"error:{r.error}" if r.error else _fmt(r.l2_error)
-        times = (r.assembly_s, r.factor_s, r.solve_s) if record_timings else (0.0, 0.0, 0.0)
-        lines.append(
-            ",".join(
-                [
-                    r.geometry,
-                    r.variant,
-                    str(r.p),
-                    _fmt(r.t),
-                    str(r.level),
-                    str(r.elems_per_dir),
-                    _fmt(r.n_dof_primal),
-                    _fmt(r.n_dof_mixed),
-                    _fmt(r.nnz_condensed),
-                    err_field,
-                    _fmt(r.rate),
-                    _fmt(times[0]),
-                    _fmt(times[1]),
-                    _fmt(times[2]),
-                    _fmt(r.lump_dev),
-                ]
-            )
-        )
+        row = {name: getattr(r, name) for name in _CSV_FIELDS}
+        if r.error:
+            row["l2_error"] = f"error:{r.error}"
+        if not record_timings:
+            row.update(dict.fromkeys(_TIMING_FIELDS, 0.0))
+        lines.append(",".join(_fmt(row[name]) for name in _CSV_FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -601,21 +586,7 @@ def run_convergence_study(config: StudyConfig) -> list[ConvergenceRecord]:
                     try:
                         sol, err = run_single(assembly, problem, cfg)
                     except Exception as exc:  # record and continue
-                        records.append(
-                            ConvergenceRecord(
-                                **cell,
-                                n_dof_primal=None,
-                                n_dof_mixed=None,
-                                nnz_condensed=None,
-                                l2_error=None,
-                                rate=None,
-                                assembly_s=0.0,
-                                factor_s=0.0,
-                                solve_s=0.0,
-                                lump_dev=None,
-                                error=type(exc).__name__,
-                            )
-                        )
+                        records.append(ConvergenceRecord(**cell, error=type(exc).__name__))
                         prev_err = None
                         continue
                     d = sol.diagnostics

@@ -22,11 +22,21 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .duals import DimensionMismatch, DualTransform2D, dual_transform_1d, dual_transform_2d
+from .duals import (
+    DimensionMismatch,
+    DualTransform2D,
+    dual_transform_1d,
+    dual_transform_2d,
+    extract_element_transform,
+)
 from .multipatch import PatchAssembly, assemble_multipatch, assemble_primal_multipatch, build_dof_map
 from .plate import (
     MixedSystem,
     PatchDiscretization,
+    _csr,
+    _mixed_blocks,
+    _rotation_ids,
+    _triplets,
     apply_clamped_bc,
     build_field_spaces,
     d_ids,
@@ -214,7 +224,6 @@ def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
     Schur complement).
     """
     k = system.k_dd.astype(float)
-    dense_acc = None
     recovery = []
     dev = 0.0
     mode = "schur"
@@ -234,21 +243,13 @@ def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
                 x = sp.diags(1.0 / diag) @ k_sd
             else:
                 try:
-                    solver = DirectSolver(k_ss)
-                    x = solver.solve(k_sd.toarray())
+                    x = sp.csr_matrix(DirectSolver(k_ss).solve(k_sd.toarray()))
                 except Exception as exc:
                     raise SingularShearBlock(str(exc)) from exc
             ops.append(x)
         recovery.append(tuple(ops))
         for k_ds, x in zip((system.k_ds1[p], system.k_ds2[p]), ops):
-            if sp.issparse(x):
-                k = k - (k_ds @ x)
-            else:
-                if dense_acc is None:
-                    dense_acc = np.zeros(k.shape)
-                dense_acc += k_ds @ x
-    if dense_acc is not None:
-        k = sp.csr_matrix(k.toarray() - dense_acc)
+            k = k - (k_ds @ x)
     return CondensedSystem(
         k_cond=k.tocsr(),
         f_d=system.f_d.copy(),
@@ -277,45 +278,32 @@ def recover_shear(cond: CondensedSystem, d_solution: np.ndarray) -> list:
 def pg_shear_rows_elementwise(disc: PatchDiscretization, mat, t1: DualTransform2D, t2: DualTransform2D, load=None):
     """Assemble already-transformed shear rows element by element.
 
-    Equivalent to transforming the assembled blocks globally; the element
-    path avoids building a huge block-diagonal transform in multi-patch
-    runs.  Returns (K_S1d, K_S2d, K_S11, K_S22) in patch-local numbering.
+    Sums T^e K^e over the elements of the batched kernel, which equals
+    transforming the assembled blocks globally; the element path avoids
+    building a huge block-diagonal transform in multi-patch runs.  Returns
+    (K_S1d, K_S2d, K_S11, K_S22) in patch-local numbering.
     """
-    from .duals import extract_element_transform
-    from .plate import element_matrices
-
     spaces = disc.spaces
-    nd = spaces.nd
-    ns1, ns2 = spaces.s1.ndof, spaces.s2.ndof
-    tr = {k: ([], [], []) for k in ("s1d", "s2d", "s11", "s22")}
-
-    def add(key, rows, cols, block):
-        r, c, v = tr[key]
-        rr, cc = np.meshgrid(rows, cols, indexing="ij")
-        r.append(rr.ravel())
-        c.append(cc.ravel())
-        v.append(np.asarray(block).ravel())
-
-    for elem in disc.elements():
-        em = element_matrices(disc, mat, "weighted", elem, load)
-        e1 = extract_element_transform(t1, em.s1_idx)
-        e2 = extract_element_transform(t2, em.s2_idx)
-        add("s1d", e1.rows, em.d_idx, e1.block @ em.k_s1d)
-        add("s2d", e2.rows, em.d_idx, e2.block @ em.k_s2d)
-        add("s11", e1.rows, em.s1_idx, e1.block @ em.k_s11)
-        add("s22", e2.rows, em.s2_idx, e2.block @ em.k_s22)
-
-    from .sparse import build_csr
-
-    def mat_of(key, shape):
-        r, c, v = tr[key]
-        return build_csr(shape, np.concatenate(r), np.concatenate(c), np.concatenate(v))
-
+    parts = {key: [] for key in ("s1d", "s2d", "s11", "s22")}
+    for eu, ev in disc.chunks():
+        k = _mixed_blocks(disc, mat, "weighted", eu, ev, load)
+        rot = _rotation_ids(k["gi"], spaces.disp.ndof)
+        for key, t, theta in (("1", t1, rot[:, 0::2]), ("2", t2, rot[:, 1::2])):
+            s = k[f"s{key}_idx"]
+            for e in range(len(eu)):
+                et = extract_element_transform(t, s[e])
+                for name, cols, blk in (
+                    (f"s{key}d", k["gi"][e], k[f"s{key}d_w"][e]),
+                    (f"s{key}d", theta[e], k[f"s{key}d_t"][e]),
+                    (f"s{key}{key}", s[e], k[f"s{key}{key}"][e]),
+                ):
+                    parts[name].append(_triplets(et.rows[None], cols[None], (et.block @ blk)[None]))
+    nd, ns1, ns2 = spaces.nd, spaces.s1.ndof, spaces.s2.ndof
     return (
-        mat_of("s1d", (ns1, nd)),
-        mat_of("s2d", (ns2, nd)),
-        mat_of("s11", (ns1, ns1)),
-        mat_of("s22", (ns2, ns2)),
+        _csr((ns1, nd), parts["s1d"]),
+        _csr((ns2, nd), parts["s2d"]),
+        _csr((ns1, ns1), parts["s11"]),
+        _csr((ns2, ns2), parts["s22"]),
     )
 
 
@@ -346,14 +334,19 @@ class VariantSolution:
 
 
 def _condition_estimate(solver: DirectSolver) -> float | None:
-    """1-norm condition estimate of the solved matrix from the solver's own factor."""
+    """1-norm condition estimate of the solved matrix from the solver's own factor.
+
+    ||A||_1 is exact; ||A^-1||_1 is estimated from one starting vector of
+    ones, which draws no random numbers, so the estimate is reproducible and
+    leaves the global RNG alone.
+    """
     try:
         op = spla.LinearOperator(
             solver.a.shape,
             matvec=solver._lu.solve,
             rmatvec=lambda b: solver._lu.solve(b, trans="T"),
         )
-        return float(spla.onenormest(solver.a) * spla.onenormest(op))
+        return float(spla.norm(solver.a, 1) * spla.onenormest(op, t=1))
     except Exception:
         return None
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .plate import MixedSystem, assemble_patches, assemble_primal_patches, d_ids
 from .splines import SurfacePatch
@@ -145,29 +147,18 @@ def build_dof_map(patches, interfaces=None, tol: float = 1e-12) -> PatchAssembly
 
     sizes = [p.net.shape[0] * p.net.shape[1] for p in patches]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    parent = np.arange(offsets[-1])
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    pairs = [np.zeros((2, 0), dtype=int)]
     for iface in interfaces:
         ids_a = _edge_local_points(patches[iface.patch_a].net.shape, iface.edge_a)
         ids_b = _edge_local_points(patches[iface.patch_b].net.shape, iface.edge_b)
         if iface.reversed:
             ids_b = ids_b[::-1]
-        for la, lb in zip(ids_a, ids_b):
-            union(offsets[iface.patch_a] + la, offsets[iface.patch_b] + lb)
-
-    roots = np.array([find(i) for i in range(offsets[-1])])
-    _, global_ids = np.unique(roots, return_inverse=True)
+        pairs.append(np.stack([offsets[iface.patch_a] + ids_a, offsets[iface.patch_b] + ids_b]))
+    rows, cols = np.concatenate(pairs, axis=1)
+    graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(offsets[-1],) * 2)
+    # components are numbered by their smallest point id, in increasing order
+    n_points, labels = connected_components(graph, directed=False)
+    global_ids = labels.astype(np.int64)
     point_maps = [
         global_ids[offsets[p] : offsets[p] + sizes[p]].copy() for p in range(len(patches))
     ]
@@ -187,7 +178,7 @@ def build_dof_map(patches, interfaces=None, tol: float = 1e-12) -> PatchAssembly
         patches=patches,
         interfaces=list(interfaces),
         point_maps=point_maps,
-        n_points=int(global_ids.max()) + 1,
+        n_points=int(n_points),
         boundary_points=np.array(sorted(boundary), dtype=int),
     )
 

@@ -271,11 +271,6 @@ class PatchDiscretization:
     def n_elems(self) -> int:
         return self.n_elem_u * self.n_elem_v
 
-    def elements(self):
-        for eu in range(self.n_elem_u):
-            for ev in range(self.n_elem_v):
-                yield eu, ev
-
     def chunks(self):
         """Element index arrays (eu, ev), CHUNK elements at a time, in element order."""
         eu, ev = np.divmod(np.arange(self.n_elems), self.n_elem_v)
@@ -351,19 +346,6 @@ class PatchDiscretization:
                 n = num / num.sum(axis=-1, keepdims=True)
             out += [n, (iu * space.kv_v.n + iv).reshape(len(eu), -1)]
         return tuple(out)
-
-    def element_context(self, eu: int, ev: int) -> dict:
-        """Geometry, basis values and quadrature data of one element."""
-        batch = (np.array([eu]), np.array([ev]))
-        ctx = {key: val[0] for key, val in self.geometry(*batch).items()}
-        n1, s1_idx, n2, s2_idx = self.shear_bases(*batch)
-        ctx.update(n1=n1[0], s1_idx=s1_idx[0], n2=n2[0], s2_idx=s2_idx[0])
-        return ctx
-
-    def element_dofs(self, eu: int, ev: int, ctx: dict):
-        """Patch-local (w point, d, S1, S2) index arrays of one element."""
-        gi = ctx["gi"]
-        return gi, d_ids(gi, self.spaces.disp.ndof), ctx["s1_idx"], ctx["s2_idx"]
 
 
 def _rotation_ids(gi: np.ndarray, nw: int) -> np.ndarray:

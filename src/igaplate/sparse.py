@@ -1,4 +1,4 @@
-"""Sparse storage and direct-solve contract shared by all pipelines."""
+"""Direct-solve contract and structural counts shared by all pipelines."""
 
 from __future__ import annotations
 
@@ -12,28 +12,6 @@ class SingularMatrix(Exception):
 
 
 PRUNE_TOL = 1e-14  # structural-count threshold for stored near-zeros
-
-
-def build_csr(shape, rows, cols, vals) -> sp.csr_matrix:
-    """Deterministic triplet assembly: lexsorted reduction before summation.
-
-    Duplicate (row, col) entries are summed in value-sorted order, so any
-    permutation of the same triplet multiset yields bit-identical matrices.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=float)
-    if len(rows) == 0:
-        return sp.csr_matrix(shape)
-    order = np.lexsort((vals, cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    new_group = np.empty(len(rows), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(new_group)
-    summed = np.add.reduceat(vals, starts)
-    mat = sp.csr_matrix((summed, (rows[starts], cols[starts])), shape=shape)
-    return mat
 
 
 class DirectSolver:

@@ -1,28 +1,10 @@
-"""Deterministic triplet assembly and the direct-solve contract."""
+"""The direct-solve contract and structural counts."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from igaplate.sparse import SingularMatrix, build_csr, nnz_and_bandwidth, solve_direct
-
-
-def test_duplicate_triplets_summed():
-    m = build_csr((2, 2), [0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0])
-    assert m[0, 0] == 3.0 and m[1, 1] == 5.0 and m.nnz == 2
-
-
-def test_permutation_gives_bit_identical_matrix():
-    rng = np.random.default_rng(7)
-    rows = rng.integers(0, 40, size=500)
-    cols = rng.integers(0, 40, size=500)
-    vals = rng.standard_normal(500)
-    a = build_csr((40, 40), rows, cols, vals)
-    perm = rng.permutation(500)
-    b = build_csr((40, 40), rows[perm], cols[perm], vals[perm])
-    assert a.data.tobytes() == b.data.tobytes()
-    assert a.indices.tobytes() == b.indices.tobytes()
-    assert a.indptr.tobytes() == b.indptr.tobytes()
+from igaplate.sparse import SingularMatrix, nnz_and_bandwidth, solve_direct
 
 
 def test_identity_solve():

@@ -39,6 +39,7 @@ def _solve(args) -> int:
         "factor_s": d["factor_s"],
         "solve_s": d["solve_s"],
         "lump_dev": d["lump_dev"],
+        "solver": d["solver"],
     }
     for key, value in summary.items():
         print(f"{key} = {value}")

@@ -44,7 +44,7 @@ from .plate import (
     free_dofs,
     material,
 )
-from .sparse import DirectSolver, nnz_and_bandwidth
+from .sparse import DirectSolver, KrylovSolver, nnz_and_bandwidth
 from .splines import SurfacePatch
 
 
@@ -57,6 +57,11 @@ class NonPositiveDiagonal(Exception):
 
 
 VARIANTS = ("std", "mxd", "lmp", "ad", "ead")
+
+# Condensed systems with at least this many free d DOFs are first solved by
+# GMRES preconditioned with the primal matrix's LU; smaller ones by LU alone.
+# Break-even measured on c1_single and nurbs_distorted (see README).
+GMRES_MIN_DOFS = 1000
 
 
 @dataclass(frozen=True)
@@ -284,6 +289,7 @@ def pg_shear_rows_elementwise(disc: PatchDiscretization, mat, t1: DualTransform2
     (K_S1d, K_S2d, K_S11, K_S22) in patch-local numbering.
     """
     spaces = disc.spaces
+    nd, ns1, ns2 = spaces.nd, spaces.s1.ndof, spaces.s2.ndof
     parts = {key: [] for key in ("s1d", "s2d", "s11", "s22")}
     for eu, ev in disc.chunks():
         k = _mixed_blocks(disc, mat, "weighted", eu, ev, load)
@@ -292,13 +298,14 @@ def pg_shear_rows_elementwise(disc: PatchDiscretization, mat, t1: DualTransform2
             s = k[f"s{key}_idx"]
             for e in range(len(eu)):
                 et = extract_element_transform(t, s[e])
-                for name, cols, blk in (
-                    (f"s{key}d", k["gi"][e], k[f"s{key}d_w"][e]),
-                    (f"s{key}d", theta[e], k[f"s{key}d_t"][e]),
-                    (f"s{key}{key}", s[e], k[f"s{key}{key}"][e]),
+                for name, cols, blk, n_cols in (
+                    (f"s{key}d", k["gi"][e], k[f"s{key}d_w"][e], nd),
+                    (f"s{key}d", theta[e], k[f"s{key}d_t"][e], nd),
+                    (f"s{key}{key}", s[e], k[f"s{key}{key}"][e], t.n),
                 ):
-                    parts[name].append(_triplets(et.rows[None], cols[None], (et.block @ blk)[None]))
-    nd, ns1, ns2 = spaces.nd, spaces.s1.ndof, spaces.s2.ndof
+                    parts[name].append(
+                        _triplets(et.rows[None], cols[None], (et.block @ blk)[None], n_cols)
+                    )
     return (
         _csr((ns1, nd), parts["s1d"]),
         _csr((ns2, nd), parts["s2d"]),
@@ -351,11 +358,22 @@ def _condition_estimate(solver: DirectSolver) -> float | None:
         return None
 
 
+def _primal_free(ctx: ProblemContext, mat, load=None) -> tuple:
+    """Primal matrix and load on the free d DOFs, and those DOFs' ids."""
+    k, f, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, mat, load)
+    free = free_dofs(k.shape[0], boundary)
+    return k[np.ix_(free, free)].tocsr(), f[free], free
+
+
 def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
     """Build spaces, assemble, and solve with the requested formulation.
 
     The variants differ only in the (matrix, rhs) they build; all of them
-    share one factorisation and one solve.
+    share one factorisation and one solve.  A condensed system with at least
+    GMRES_MIN_DOFS free d DOFs, and no condition estimate asked for, is
+    first solved by GMRES preconditioned with the LU of the primal matrix on
+    the same DOFs; if that answer misses the Krylov residual gate, the
+    condensed matrix is factorised directly as for every other system.
     """
     mat = config.make_material()
     t0 = time.perf_counter()
@@ -363,10 +381,9 @@ def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
     diagnostics: dict = {"variant": config.variant}
     lump_dev = None
 
+    primal = None
     if config.variant == "std":
-        k, f, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, mat, load)
-        free = free_dofs(k.shape[0], boundary)
-        matrix, rhs = k[np.ix_(free, free)].tocsr(), f[free]
+        matrix, rhs, free = _primal_free(ctx, mat, load)
     else:
         system = assemble_mixed(ctx, mat, load)
         free = system.free_d
@@ -380,11 +397,22 @@ def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
             matrix, rhs = cond.k_cond, cond.f_d
             lump_dev = cond.lump_dev
             diagnostics["condense_mode"] = cond.mode
+            if not config.estimate_condition and len(free) >= GMRES_MIN_DOFS:
+                primal, _, _ = _primal_free(ctx, mat)
 
     t1 = time.perf_counter()
-    solver = DirectSolver(matrix)
-    t2 = time.perf_counter()
-    x = solver.solve(rhs)
+    x, iterations = None, None
+    if primal is not None:
+        solver = KrylovSolver(matrix, primal)
+        del primal
+        t2 = time.perf_counter()
+        x = solver.solve(rhs)
+        iterations = solver.iterations
+    if x is None:
+        solver = None  # a rejected Krylov answer: free the primal factor first
+        solver = DirectSolver(matrix)
+        t2 = time.perf_counter()
+        x = solver.solve(rhs)
     t3 = time.perf_counter()
 
     if config.variant == "std":
@@ -410,6 +438,8 @@ def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
             "factor_s": t2 - t1,
             "solve_s": t3 - t2,
             "lump_dev": lump_dev,
+            "solver": "gmres" if isinstance(solver, KrylovSolver) else "lu",
+            "iterations": iterations,
         }
     )
     if config.estimate_condition:

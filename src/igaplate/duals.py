@@ -25,6 +25,7 @@ constraint set and a locally widened band.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -345,6 +346,11 @@ class DualTransform2D:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def csc(self) -> sp.csc_matrix:
+        """The matrix in CSC form, converted once for column restrictions."""
+        return sp.csc_matrix(self.matrix)
+
 
 def dual_transform_2d(su: DualTransform1D, sv: DualTransform1D, weights=None) -> DualTransform2D:
     """Tensor-product 2D transform; weights trigger the rational sandwich.
@@ -387,7 +393,7 @@ def extract_element_transform(s2d: DualTransform2D, element_dof_indices) -> Elem
     element's columns is kept.
     """
     cols = np.asarray(element_dof_indices, dtype=int)
-    sub = sp.csc_matrix(s2d.matrix)[:, cols]
+    sub = s2d.csc[:, cols]
     rows = np.unique(sub.nonzero()[0])
     block = np.asarray(sub.tocsr()[rows].todense())
     return ElementTransform(rows=rows, block=block)

@@ -562,28 +562,40 @@ def boundary_point_ids(grid) -> np.ndarray:
     return np.flatnonzero(on_edge)
 
 
-def _triplets(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray) -> tuple:
-    """Triplets of a batch of dense blocks (E, a, b) with ids rows (E, a), cols (E, b)."""
-    return (
-        np.broadcast_to(rows[:, :, None], blocks.shape).ravel(),
-        np.broadcast_to(cols[:, None, :], blocks.shape).ravel(),
-        blocks.ravel(),
-    )
+def _triplets(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, n_cols: int) -> tuple:
+    """(key, value) pairs of a batch of dense blocks (E, a, b) with ids rows (E, a), cols (E, b).
+
+    Entry (r, c) is keyed r * n_cols + c, one int64 per entry; no row or
+    column array the size of the blocks is made.
+    """
+    key = rows[:, :, None].astype(np.int64) * n_cols + cols[:, None, :]
+    return key.ravel(), blocks.ravel()
 
 
 def _csr(shape, parts: list) -> sp.csr_matrix:
-    """One CSR build from triplet parts, summing duplicates in element order.
+    """One CSR build from (key, value) parts, summing duplicates in element order.
 
-    A stable sort on the flat (row, col) key keeps each entry's contributions
-    in the order the elements came, so the sums do not depend on CHUNK.
-    Sums that cancel to exactly zero (on affine patches) are not stored.
+    The parts are packed into one key and one value array and each is
+    released from `parts` once copied.  A stable sort on the key keeps each
+    entry's contributions in the order the elements came, so the sums do not
+    depend on CHUNK.  Sums that cancel to exactly zero (on affine patches)
+    are not stored.
     """
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    key = rows * shape[1] + cols
+    n = sum(len(k) for k, _ in parts)
+    key, vals = np.empty(n, dtype=np.int64), np.empty(n)
+    start = 0
+    for i, (k, v) in enumerate(parts):
+        key[start : start + len(k)] = k
+        vals[start : start + len(k)] = v
+        start += len(k)
+        parts[i] = None
     order = np.argsort(key, kind="stable")
     key = key[order]
+    vals = vals[order]
+    del order
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    sums = np.add.reduceat(vals[order], first)
+    sums = np.add.reduceat(vals, first)
+    del vals
     keep = sums != 0.0
     key, sums = key[first][keep], sums[keep]
     indptr = np.searchsorted(key, np.arange(shape[0] + 1) * shape[1])
@@ -612,26 +624,26 @@ def assemble_patches(
         nw = disc.spaces.disp.ndof
         parts = {key: [] for key in blocks}
         f_ids, f_vals = [], []
+        ns1, ns2 = disc.spaces.s1.ndof, disc.spaces.s2.ndof
         for eu, ev in disc.chunks():
             k = _mixed_blocks(disc, mat, scheme, eu, ev, load)
             w = d_map[k["gi"]]
             rot = d_map[_rotation_ids(k["gi"], nw)]
             s1, s2 = k["s1_idx"], k["s2_idx"]
-            dd.append(_triplets(rot, rot, k["tt"]))
-            for key, s, t in (("1", s1, rot[:, 0::2]), ("2", s2, rot[:, 1::2])):
+            dd.append(_triplets(rot, rot, k["tt"], nd))
+            for key, s, t, ns in (("1", s1, rot[:, 0::2], ns1), ("2", s2, rot[:, 1::2], ns2)):
                 parts["ds" + key] += [
-                    _triplets(w, s, k[f"ds{key}_w"]),
-                    _triplets(t, s, k[f"ds{key}_t"]),
+                    _triplets(w, s, k[f"ds{key}_w"], ns),
+                    _triplets(t, s, k[f"ds{key}_t"], ns),
                 ]
                 parts[f"s{key}d"] += [
-                    _triplets(s, w, k[f"s{key}d_w"]),
-                    _triplets(s, t, k[f"s{key}d_t"]),
+                    _triplets(s, w, k[f"s{key}d_w"], nd),
+                    _triplets(s, t, k[f"s{key}d_t"], nd),
                 ]
-                parts[f"s{key}{key}"].append(_triplets(s, s, k[f"s{key}{key}"]))
+                parts[f"s{key}{key}"].append(_triplets(s, s, k[f"s{key}{key}"], ns))
             f_ids.append(w.ravel())
             f_vals.append(k["f_w"].ravel())
         f_d += np.bincount(np.concatenate(f_ids), np.concatenate(f_vals), minlength=nd)
-        ns1, ns2 = disc.spaces.s1.ndof, disc.spaces.s2.ndof
         for key, shape in (
             ("ds1", (nd, ns1)),
             ("ds2", (nd, ns2)),
@@ -745,7 +757,7 @@ def assemble_primal_patches(
             k_e = mat.kgt * (_swap(bsw) @ bs.reshape(ne, 2 * nq, -1))
             k_e[:, nloc:, nloc:] += _bending(gx, gy, w_phys, mat.d_bend)
             ids = d_map[d_ids(geo["gi"], nw)]
-            parts.append(_triplets(ids, ids, k_e))
+            parts.append(_triplets(ids, ids, k_e, nd))
             if load is not None:
                 f_ids.append(ids[:, :nloc].ravel())
                 f_vals.append(_load_vector(geo, w_phys, load).ravel())

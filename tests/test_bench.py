@@ -427,6 +427,8 @@ def test_cli_solve_and_convergence(tmp_path, capsys):
 
     summary = json.loads(out.read_text())
     assert summary["l2_error"] > 0
+    assert summary["solver"] == "lu"
+    assert "solver = lu" in capsys.readouterr().out
 
     cfg = tmp_path / "study.cfg"
     csv = tmp_path / "study.csv"

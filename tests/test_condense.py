@@ -407,3 +407,93 @@ def test_condensed_sparser_than_mixed():
     _, band_kdd = nnz_and_bandwidth(constrained.k_dd)
     assert nnz_cond < nnz_mixed
     assert band_cond >= band_kdd
+
+
+def test_stored_entry_count_does_not_depend_on_thickness():
+    # nnz_solved counts stored entries; thickness moves it only through the
+    # few element sums that round-off cancels to exactly 0.0 (not stored)
+    pa = geometry_catalog("undistorted")
+    counts = {
+        t: solve_variant(
+            pa, SolveConfig(variant="mxd", degree=2, level=3, thickness=t), load=lambda x, y: np.ones_like(x)
+        ).diagnostics["nnz_solved"]
+        for t in (1e-2, 1e-8)
+    }
+    assert abs(counts[1e-2] - counts[1e-8]) <= 1e-3 * counts[1e-2]
+
+
+# solve path of large condensed systems ---------------------------------------------
+
+
+def _condensed(pa, cfg, load):
+    from igaplate.condense import assemble_mixed
+
+    ctx = prepare_problem(pa, cfg)
+    mat = cfg.make_material()
+    system = pg_transform(assemble_mixed(ctx, mat, load), *build_transforms(ctx))
+    return ctx, mat, condense(system, lumped=True)
+
+
+def test_large_condensed_system_is_solved_by_gmres_on_the_primal_factor(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    from igaplate.condense import _primal_free
+
+    pa = geometry_catalog("c0_single")
+    cfg = SolveConfig(variant="ead", degree=3, level=4, thickness=1.0)
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(a, *args, **kwargs):
+        factored.append(a)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    sol = solve_variant(pa, cfg, load=load)
+    monkeypatch.undo()
+
+    assert sol.diagnostics["solver"] == "gmres"
+    assert 0 < sol.diagnostics["iterations"] <= 60
+    ctx, mat, cond = _condensed(pa, cfg, load)
+    primal = _primal_free(ctx, mat)[0]
+    assert len(factored) == 1
+    assert factored[0].shape == primal.shape and (factored[0] != primal).nnz == 0
+    assert (factored[0] != cond.k_cond).nnz > 0
+    d_lu = solve_direct(cond.k_cond, cond.f_d)
+    d = sol.d_full[sol.free_d]
+    assert np.linalg.norm(d - d_lu) <= 1e-10 * np.linalg.norm(d_lu)
+
+
+def test_rejected_krylov_answer_falls_back_to_the_direct_solve():
+    from igaplate.plate import expand_displacement
+
+    pa = geometry_catalog("c0_single")
+    cfg = SolveConfig(variant="ead", degree=3, level=3, thickness=1e-4)
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    sol = solve_variant(pa, cfg, load=load)
+    assert sol.diagnostics["n_dof_solved"] == 1083
+    assert sol.diagnostics["solver"] == "lu"
+    assert sol.diagnostics["iterations"] == 60
+    ctx, _, cond = _condensed(pa, cfg, load)
+    direct = expand_displacement(sol.d_full.size, sol.free_d, solve_direct(cond.k_cond, cond.f_d))
+    assert sol.d_full.tobytes() == direct.tobytes()
+
+
+def test_small_condensed_system_never_builds_the_primal_matrix(monkeypatch):
+    import importlib
+
+    module = importlib.import_module("igaplate.condense")
+    calls = []
+    primal = module.assemble_primal_multipatch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return primal(*args, **kwargs)
+
+    monkeypatch.setattr(module, "assemble_primal_multipatch", counting)
+    cfg = SolveConfig(variant="ead", degree=2, level=3, thickness=1.0)
+    sol = solve_variant(geometry_catalog("undistorted"), cfg, load=lambda x, y: np.ones_like(x))
+    assert sol.diagnostics["n_dof_solved"] < module.GMRES_MIN_DOFS
+    assert sol.diagnostics["solver"] == "lu" and sol.diagnostics["iterations"] is None
+    assert calls == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from igaplate.sparse import SingularMatrix, nnz_and_bandwidth, solve_direct
+from igaplate.sparse import KrylovSolver, SingularMatrix, nnz_and_bandwidth, solve_direct
 
 
 def test_identity_solve():
@@ -58,9 +58,9 @@ def test_nnz_and_bandwidth_tridiagonal():
     assert nnz_and_bandwidth(a) == (13, 1)
 
 
-def test_nnz_prunes_stored_near_zeros():
+def test_nnz_counts_stored_entries():
     a = sp.csr_matrix((np.array([1.0, 1e-15]), (np.array([0, 0]), np.array([0, 3]))), shape=(4, 4))
-    assert nnz_and_bandwidth(a) == (1, 0)
+    assert nnz_and_bandwidth(a) == (2, 3)
 
 
 def test_dense_input_factorised_like_its_sparse_form():
@@ -70,3 +70,18 @@ def test_dense_input_factorised_like_its_sparse_form():
     assert solve_direct(a, b).tobytes() == solve_direct(sp.csr_matrix(a), b).tobytes()
     with pytest.raises(SingularMatrix):
         solve_direct(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+
+
+def test_krylov_solver_returns_only_answers_within_its_gate():
+    n = 200
+    a = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    b = np.ones(n)
+    exact = KrylovSolver(a, a)
+    x = exact.solve(b)
+    assert exact.iterations <= 2
+    assert np.linalg.norm(x - solve_direct(a, b)) <= 1e-12 * np.linalg.norm(x)
+    # 200 distinct eigenvalues over 12 decades: 60 unpreconditioned iterations fall short
+    stiff = sp.diags(np.logspace(0, 12, n), format="csr")
+    slow = KrylovSolver(stiff, sp.identity(n, format="csr"))
+    assert slow.solve(b) is None and slow.iterations == 60
+    assert KrylovSolver(a, sp.csr_matrix((n, n))).solve(b) is None

@@ -552,6 +552,15 @@ def run_single(
     problem: BenchmarkProblem,
     config: SolveConfig,
 ) -> tuple[VariantSolution, float]:
+    """Solve one configuration under the problem's load; returns it with its L2 error.
+
+    The load and the reference deflection come from the problem, the
+    stiffness from the config, so both must describe the same plate.
+    """
+    for name in ("thickness", "e_mod", "nu", "kappa"):
+        ours, theirs = getattr(problem, name), getattr(config, name)
+        if ours != theirs:
+            raise ValueError(f"problem and config disagree on {name}: {ours} != {theirs}")
     sol = solve_variant(assembly, config, load=problem.load)
     return sol, l2_error(sol, problem)
 

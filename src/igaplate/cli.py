@@ -50,6 +50,32 @@ def _solve(args) -> int:
     return 0
 
 
+def _as_list(cast):
+    return lambda text: tuple(cast(v.strip()) for v in text.split(",") if v.strip())
+
+
+def _as_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+# config key -> (StudyConfig field, cast); a later key wins over an earlier
+# alias of the same field
+_CONFIG_KEYS = {
+    "geometry": ("geometry", str),
+    "variants": ("variants", _as_list(str)),
+    "variant": ("variants", _as_list(str)),
+    "degrees": ("degrees", _as_list(int)),
+    "degree": ("degrees", _as_list(int)),
+    "levels": ("levels", _as_list(int)),
+    "thicknesses": ("thicknesses", _as_list(float)),
+    "thickness": ("thicknesses", _as_list(float)),
+    "continuity_reduction": ("continuity_reduction", _as_bool),
+    "shear_weights": ("shear_weighting", str),
+    "out": ("out", str),
+    "record_timings": ("record_timings", _as_bool),
+}
+
+
 def _parse_config_file(path: str) -> bench.StudyConfig:
     values: dict = {}
     with open(path) as fh:
@@ -62,47 +88,14 @@ def _parse_config_file(path: str) -> bench.StudyConfig:
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
 
-    def as_list(text, cast):
-        return tuple(cast(v.strip()) for v in text.split(",") if v.strip())
-
-    kwargs: dict = {}
     if "geometry" not in values:
         raise bench.ParseError("config needs a 'geometry' entry")
-    kwargs["geometry"] = values.pop("geometry")
-    if "variants" in values:
-        kwargs["variants"] = as_list(values.pop("variants"), str)
-    if "variant" in values:
-        kwargs["variants"] = as_list(values.pop("variant"), str)
-    if "degrees" in values:
-        kwargs["degrees"] = as_list(values.pop("degrees"), int)
-    if "degree" in values:
-        kwargs["degrees"] = as_list(values.pop("degree"), int)
-    if "levels" in values:
-        kwargs["levels"] = as_list(values.pop("levels"), int)
-    if "thicknesses" in values:
-        kwargs["thicknesses"] = as_list(values.pop("thicknesses"), float)
-    if "thickness" in values:
-        kwargs["thicknesses"] = as_list(values.pop("thickness"), float)
-    if "continuity_reduction" in values:
-        kwargs["continuity_reduction"] = values.pop("continuity_reduction").lower() in (
-            "1",
-            "true",
-            "yes",
-            "on",
-        )
-    if "shear_weights" in values:
-        kwargs["shear_weighting"] = values.pop("shear_weights")
-    if "out" in values:
-        kwargs["out"] = values.pop("out")
-    if "record_timings" in values:
-        kwargs["record_timings"] = values.pop("record_timings").lower() in (
-            "1",
-            "true",
-            "yes",
-            "on",
-        )
-    if values:
-        raise bench.ParseError(f"unknown config keys: {sorted(values)}")
+    kwargs = {
+        field: cast(values[key]) for key, (field, cast) in _CONFIG_KEYS.items() if key in values
+    }
+    unknown = sorted(set(values) - set(_CONFIG_KEYS))
+    if unknown:
+        raise bench.ParseError(f"unknown config keys: {unknown}")
     return bench.StudyConfig(**kwargs)
 
 

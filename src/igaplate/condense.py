@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .duals import (
     DimensionMismatch,
@@ -74,11 +73,9 @@ class SolveConfig:
     thickness: float
     shear_weighting: str = "nurbs"
     continuity_reduction: bool | None = None  # None: on for ad/ead, off otherwise
-    reduce_mode: str = "preserve_C0"
     e_mod: float = 10000.0
     nu: float = 0.3
     kappa: float = 5.0 / 6.0
-    nq: int | None = None
     estimate_condition: bool = False
 
     def __post_init__(self):
@@ -119,13 +116,12 @@ def prepare_problem(assembly: PatchAssembly | SurfacePatch, config: SolveConfig)
             config.degree,
             config.level,
             continuity_reduction=config.reduction,
-            reduce_mode=config.reduce_mode,
             shear_weighting=config.shear_weighting,
         )
         for patch in assembly.patches
     ]
     refined = build_dof_map([s.patch for s in spaces])
-    discs = [PatchDiscretization(s, nq=config.nq) for s in spaces]
+    discs = [PatchDiscretization(s) for s in spaces]
     return ProblemContext(
         coarse=assembly, refined=refined, spaces=spaces, discs=discs, config=config
     )
@@ -209,7 +205,6 @@ class CondensedSystem:
     recovery: list  # per patch: (X1, X2); shear recovery S_a = -X_a @ d
     mode: str  # 'identity' | 'diagonal' | 'schur'
     lump_dev: float
-    system: MixedSystem
 
     @property
     def n(self) -> int:
@@ -261,7 +256,6 @@ def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
         recovery=recovery,
         mode=mode,
         lump_dev=dev,
-        system=system,
     )
 
 
@@ -338,24 +332,6 @@ class VariantSolution:
         """(nw_local, 2) rotation coefficients of one patch."""
         points = self.ctx.refined.point_maps[patch_idx][:, None]
         return self.d_full[d_ids(points, self.ctx.refined.n_points)[:, 1:]]
-
-
-def _condition_estimate(solver: DirectSolver) -> float | None:
-    """1-norm condition estimate of the solved matrix from the solver's own factor.
-
-    ||A||_1 is exact; ||A^-1||_1 is estimated from one starting vector of
-    ones, which draws no random numbers, so the estimate is reproducible and
-    leaves the global RNG alone.
-    """
-    try:
-        op = spla.LinearOperator(
-            solver.a.shape,
-            matvec=solver._lu.solve,
-            rmatvec=lambda b: solver._lu.solve(b, trans="T"),
-        )
-        return float(spla.norm(solver.a, 1) * spla.onenormest(op, t=1))
-    except Exception:
-        return None
 
 
 def _primal_free(ctx: ProblemContext, mat, load=None) -> tuple:
@@ -443,7 +419,7 @@ def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
         }
     )
     if config.estimate_condition:
-        diagnostics["cond_est"] = _condition_estimate(solver)
+        diagnostics["cond_est"] = solver.condition_estimate()
 
     nd_full = 3 * ctx.refined.n_points
     return VariantSolution(

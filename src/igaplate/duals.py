@@ -42,14 +42,12 @@ class DimensionMismatch(SplineError):
     pass
 
 
-def reduce_continuity(kv: KnotVector, mode: str = "preserve_C0") -> KnotVector:
+def reduce_continuity(kv: KnotVector) -> KnotVector:
     """Raise every interior multiplicity by one, capped at the degree.
 
     The cap keeps the patch C0-connected; knots already at multiplicity p
-    (C0) are left untouched, which is exactly what both modes prescribe.
+    (C0) are left untouched.
     """
-    if mode not in ("all_knots", "preserve_C0"):
-        raise ValueError(f"unknown continuity-reduction mode {mode!r}")
     p = kv.degree
     new = list(kv.values[: p + 1])
     for x, c, _ in continuity_profile(kv):
@@ -130,9 +128,6 @@ class DualTransform1D:
     """Banded symmetric transform S with its construction metadata."""
 
     matrix: np.ndarray
-    variant: str  # "AD" or "eAD"
-    reproduction_degree: int
-    knots: KnotVector
     enhanced_rows: np.ndarray  # bool mask of rows with widened band
     reproduction_residual: float
     biorthogonality: float  # max |S G - I|
@@ -225,7 +220,7 @@ def dual_transform_1d(kv: KnotVector, r: int, variant: str = "AD") -> DualTransf
         if not extra:
             # no limited-continuity knots: identical to the AD transform
             base = dual_transform_1d(kv, r, "AD")
-            result = replace(base, variant="eAD", enhanced_rows=enhanced)
+            result = replace(base, enhanced_rows=enhanced)
             _transform_cache[key] = result
             return result
         targets.extend(extra)
@@ -260,9 +255,6 @@ def dual_transform_1d(kv: KnotVector, r: int, variant: str = "AD") -> DualTransf
     s.setflags(write=False)
     result = DualTransform1D(
         matrix=s,
-        variant=variant,
-        reproduction_degree=r,
-        knots=kv,
         enhanced_rows=enhanced,
         reproduction_residual=true_resid,
         biorthogonality=biorth,
@@ -339,8 +331,6 @@ class DualTransform2D:
 
     matrix: sp.csr_matrix
     mode: str  # "bspline" or "nurbs"
-    shape_uv: tuple[int, int]
-    weights: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -362,7 +352,6 @@ def dual_transform_2d(su: DualTransform1D, sv: DualTransform1D, weights=None) ->
     kv_ = sp.csr_matrix(sv.matrix)
     mat = sp.kron(ku, kv_, format="csr")
     mode = "bspline"
-    w = None
     if weights is not None:
         w = np.asarray(weights, dtype=float)
         if w.shape != (su.n, sv.n):
@@ -374,7 +363,7 @@ def dual_transform_2d(su: DualTransform1D, sv: DualTransform1D, weights=None) ->
         mat = sp.csr_matrix(mat)
         mode = "nurbs"
     mat.sum_duplicates()
-    return DualTransform2D(matrix=mat, mode=mode, shape_uv=(su.n, sv.n), weights=w)
+    return DualTransform2D(matrix=mat, mode=mode)
 
 
 @dataclass(frozen=True)

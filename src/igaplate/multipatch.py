@@ -13,7 +13,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .plate import MixedSystem, assemble_patches, assemble_primal_patches, d_ids
+from .plate import (
+    EDGES,
+    MixedSystem,
+    assemble_patches,
+    assemble_primal_patches,
+    d_ids,
+    edge_point_ids,
+)
 from .splines import SurfacePatch
 
 
@@ -21,26 +28,9 @@ class NonConformingInterface(Exception):
     pass
 
 
-EDGES = ("u0", "u1", "v0", "v1")
-
-
-def _edge_local_points(shape: tuple[int, int], edge: str) -> np.ndarray:
-    """Control-point ids along one edge, ordered along the edge parameter."""
-    n, m = shape
-    if edge == "u0":
-        return np.arange(m)
-    if edge == "u1":
-        return (n - 1) * m + np.arange(m)
-    if edge == "v0":
-        return np.arange(n) * m
-    if edge == "v1":
-        return np.arange(n) * m + (m - 1)
-    raise ValueError(f"unknown edge {edge!r}")
-
-
 def _edge_geometry(patch: SurfacePatch, edge: str):
     """(knot vector along the edge, points (k,3), weights (k,)) in edge order."""
-    ids = _edge_local_points(patch.net.shape, edge)
+    ids = edge_point_ids(patch.net.shape, edge)
     pts = patch.net.points.reshape(-1, 3)[ids]
     wts = patch.net.weights.reshape(-1)[ids]
     kv = patch.knots_v if edge in ("u0", "u1") else patch.knots_u
@@ -149,8 +139,8 @@ def build_dof_map(patches, interfaces=None, tol: float = 1e-12) -> PatchAssembly
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     pairs = [np.zeros((2, 0), dtype=int)]
     for iface in interfaces:
-        ids_a = _edge_local_points(patches[iface.patch_a].net.shape, iface.edge_a)
-        ids_b = _edge_local_points(patches[iface.patch_b].net.shape, iface.edge_b)
+        ids_a = edge_point_ids(patches[iface.patch_a].net.shape, iface.edge_a)
+        ids_b = edge_point_ids(patches[iface.patch_b].net.shape, iface.edge_b)
         if iface.reversed:
             ids_b = ids_b[::-1]
         pairs.append(np.stack([offsets[iface.patch_a] + ids_a, offsets[iface.patch_b] + ids_b]))
@@ -172,7 +162,7 @@ def build_dof_map(patches, interfaces=None, tol: float = 1e-12) -> PatchAssembly
         for edge in EDGES:
             if (p, edge) in matched:
                 continue
-            boundary.update(point_maps[p][_edge_local_points(shape, edge)].tolist())
+            boundary.update(point_maps[p][edge_point_ids(shape, edge)].tolist())
 
     return PatchAssembly(
         patches=patches,

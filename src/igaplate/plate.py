@@ -111,8 +111,6 @@ class FieldSpaces:
     disp: Space2D
     s1: Space2D  # degrees (pu-1, pv)
     s2: Space2D  # degrees (pu, pv-1)
-    degree: int  # requested degree
-    level: int
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -168,7 +166,6 @@ def build_field_spaces(
     target_p: int,
     level: int = 0,
     continuity_reduction: bool = False,
-    reduce_mode: str = "preserve_C0",
     shear_weighting: str = "nurbs",
 ) -> FieldSpaces:
     """k-refine the coarse geometry and derive the four field spaces.
@@ -188,8 +185,8 @@ def build_field_spaces(
 
     work = patch
     if continuity_reduction:
-        ins_u = _missing_knots(work.knots_u, reduce_continuity(work.knots_u, reduce_mode))
-        ins_v = _missing_knots(work.knots_v, reduce_continuity(work.knots_v, reduce_mode))
+        ins_u = _missing_knots(work.knots_u, reduce_continuity(work.knots_u))
+        ins_v = _missing_knots(work.knots_v, reduce_continuity(work.knots_v))
         if ins_u or ins_v:
             work = insert_knots(work, ins_u, ins_v)
     work = elevate_degree(work, pu - work.knots_u.degree, pv - work.knots_v.degree)
@@ -205,7 +202,7 @@ def build_field_spaces(
         w2 = _weight_samples(work, work.knots_u, kv_v_s)
     s1 = Space2D(kv_u_s, work.knots_v, w1)
     s2 = Space2D(work.knots_u, kv_v_s, w2)
-    return FieldSpaces(patch=work, disp=disp, s1=s1, s2=s2, degree=target_p, level=level)
+    return FieldSpaces(patch=work, disp=disp, s1=s1, s2=s2)
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +397,6 @@ class ElementMatrices:
     k_s2d: np.ndarray
     k_s11: np.ndarray
     k_s22: np.ndarray
-    f_w: np.ndarray
-    d_idx: np.ndarray
-    w_idx: np.ndarray
-    s1_idx: np.ndarray
-    s2_idx: np.ndarray
 
 
 def _mixed_blocks(disc: PatchDiscretization, mat: PlateMaterial, scheme: str, eu, ev, load) -> dict:
@@ -465,17 +457,16 @@ def element_matrices(
     mat: PlateMaterial,
     scheme: str,
     elem: tuple[int, int],
-    load=None,
 ) -> ElementMatrices:
     """Dense mixed blocks of one element: a one-element view of the batched kernel."""
     eu, ev = elem
-    k = {key: val[0] for key, val in _mixed_blocks(disc, mat, scheme, [eu], [ev], load).items()}
-    gi, s1_idx, s2_idx = k["gi"], k["s1_idx"], k["s2_idx"]
-    nloc = len(gi)
+    k = {key: val[0] for key, val in _mixed_blocks(disc, mat, scheme, [eu], [ev], None).items()}
+    nloc = len(k["gi"])
+    ns1, ns2 = len(k["s11"]), len(k["s22"])
     k_dd = np.zeros((3 * nloc, 3 * nloc))
     k_dd[nloc:, nloc:] = k["tt"]
-    k_ds1, k_ds2 = np.zeros((3 * nloc, len(s1_idx))), np.zeros((3 * nloc, len(s2_idx)))
-    k_s1d, k_s2d = np.zeros((len(s1_idx), 3 * nloc)), np.zeros((len(s2_idx), 3 * nloc))
+    k_ds1, k_ds2 = np.zeros((3 * nloc, ns1)), np.zeros((3 * nloc, ns2))
+    k_s1d, k_s2d = np.zeros((ns1, 3 * nloc)), np.zeros((ns2, 3 * nloc))
     for ds, sd, key, rot in ((k_ds1, k_s1d, "1", nloc), (k_ds2, k_s2d, "2", nloc + 1)):
         ds[:nloc], ds[rot::2] = k[f"ds{key}_w"], k[f"ds{key}_t"]
         sd[:, :nloc], sd[:, rot::2] = k[f"s{key}d_w"], k[f"s{key}d_t"]
@@ -487,11 +478,6 @@ def element_matrices(
         k_s2d=k_s2d,
         k_s11=k["s11"],
         k_s22=k["s22"],
-        f_w=k["f_w"],
-        d_idx=d_ids(gi, disc.spaces.disp.ndof),
-        w_idx=gi,
-        s1_idx=s1_idx,
-        s2_idx=s2_idx,
     )
 
 
@@ -512,8 +498,6 @@ class MixedSystem:
     k_s11: list
     k_s22: list
     f_d: np.ndarray
-    scheme: str
-    spaces: list
     boundary_d: np.ndarray
     nd_full: int
     free_d: np.ndarray | None = None  # set after BC elimination
@@ -549,17 +533,34 @@ class MixedSystem:
         return a, rhs
 
 
+EDGES = ("u0", "u1", "v0", "v1")
+
+
+def edge_point_ids(shape: tuple[int, int], edge: str) -> np.ndarray:
+    """Control-point ids along one edge of an (n, m) grid, ordered along the edge.
+
+    The one owner of which control points lie on an edge: the clamped
+    boundary of a patch and the outer boundary of a multi-patch assembly
+    are both built from it.
+    """
+    n, m = shape
+    if edge == "u0":
+        return np.arange(m)
+    if edge == "u1":
+        return (n - 1) * m + np.arange(m)
+    if edge == "v0":
+        return np.arange(n) * m
+    if edge == "v1":
+        return np.arange(n) * m + (m - 1)
+    raise ValueError(f"unknown edge {edge!r}")
+
 
 def boundary_point_ids(grid) -> np.ndarray:
-    """Sorted control-point ids on the first/last row/column of a grid.
+    """Sorted control-point ids on any edge of a grid.
 
     `grid` is anything with an (n, m) `shape`: a Space2D or a ControlNet.
     """
-    n, m = grid.shape
-    on_edge = np.zeros((n, m), dtype=bool)
-    on_edge[[0, -1], :] = True
-    on_edge[:, [0, -1]] = True
-    return np.flatnonzero(on_edge)
+    return np.unique(np.concatenate([edge_point_ids(grid.shape, e) for e in EDGES]))
 
 
 def _triplets(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, n_cols: int) -> tuple:
@@ -662,15 +663,9 @@ def assemble_patches(
         k_s11=blocks["s11"],
         k_s22=blocks["s22"],
         f_d=f_d,
-        scheme=scheme,
-        spaces=[d.spaces for d in discs],
         boundary_d=boundary_d,
         nd_full=nd,
     )
-
-
-def _patch_boundary_d(spaces: FieldSpaces) -> np.ndarray:
-    return np.sort(d_ids(boundary_point_ids(spaces.disp), spaces.disp.ndof))
 
 
 def assemble(
@@ -680,10 +675,10 @@ def assemble(
     load=None,
 ) -> MixedSystem:
     """Assemble the patch-local mixed system with the batched element kernel."""
+    disp = disc.spaces.disp
+    boundary = np.sort(d_ids(boundary_point_ids(disp), disp.ndof))
     nd = disc.spaces.nd
-    return assemble_patches(
-        [disc], [np.arange(nd)], nd, mat, scheme, _patch_boundary_d(disc.spaces), load
-    )
+    return assemble_patches([disc], [np.arange(nd)], nd, mat, scheme, boundary, load)
 
 
 def apply_clamped_bc(system: MixedSystem) -> tuple[MixedSystem, dict]:
@@ -701,8 +696,6 @@ def apply_clamped_bc(system: MixedSystem) -> tuple[MixedSystem, dict]:
         k_s11=list(system.k_s11),
         k_s22=list(system.k_s22),
         f_d=system.f_d[free],
-        scheme=system.scheme,
-        spaces=system.spaces,
         boundary_d=system.boundary_d,
         nd_full=system.nd_full,
         free_d=free,
@@ -764,18 +757,3 @@ def assemble_primal_patches(
         if f_ids:
             f += np.bincount(np.concatenate(f_ids), np.concatenate(f_vals), minlength=nd)
     return _csr((nd, nd), parts), f
-
-
-def assemble_primal(
-    disc: PatchDiscretization,
-    mat: PlateMaterial,
-    load=None,
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Standard irreducible form: bending plus kappa*G*t shear penalty.
-
-    Returns (K, f, boundary_d) in the same d DOF numbering as the mixed
-    system.
-    """
-    nd = disc.spaces.nd
-    k, f = assemble_primal_patches([disc], [np.arange(nd)], nd, mat, load)
-    return k, f, _patch_boundary_d(disc.spaces)

@@ -51,6 +51,23 @@ class DirectSolver:
             raise SingularMatrix(f"residual {resid:.3e} exceeds bound {bound:.3e}")
         return x
 
+    def condition_estimate(self) -> float | None:
+        """1-norm condition estimate of A from the factor already made.
+
+        ||A||_1 is exact; ||A^-1||_1 is estimated from one starting vector of
+        ones, which draws no random numbers, so the estimate is reproducible
+        and leaves the global RNG alone.  None if the estimate fails.
+        """
+        try:
+            op = spla.LinearOperator(
+                self.a.shape,
+                matvec=self._lu.solve,
+                rmatvec=lambda b: self._lu.solve(b, trans="T"),
+            )
+            return float(spla.norm(self.a, 1) * spla.onenormest(op, t=1))
+        except Exception:
+            return None
+
 
 class KrylovSolver:
     """GMRES on A preconditioned by the LU of a nearby matrix M.

@@ -259,7 +259,6 @@ class BasisEval2D:
     grad_xi: np.ndarray
     grad_eta: np.ndarray
     weight: float  # W(xi, eta)
-    dweight: tuple[float, float]  # (dW/dxi, dW/deta)
 
 
 @dataclass(frozen=True)
@@ -308,7 +307,6 @@ def eval_surface(patch: SurfacePatch, xi: float, eta: float, nderiv: int = 1) ->
         grad_xi=R_xi,
         grad_eta=R_eta,
         weight=float(W),
-        dweight=(float(W_xi), float(W_eta)),
     )
     return SurfaceEval(basis=basis, point=point, jac=jac, det_jac=det)
 

@@ -1,5 +1,6 @@
 """Benchmark harness: loading, exact solution, errors, geometry IO, studies, CLI."""
 
+import dataclasses
 import io
 import math
 import os
@@ -439,6 +440,80 @@ def test_cli_solve_and_convergence(tmp_path, capsys):
     capsys.readouterr()
     assert main(["convergence", "--config", str(cfg)]) == 0
     assert csv.exists()
+
+
+def test_config_file_keys_aliases_and_errors(tmp_path):
+    from igaplate.cli import _parse_config_file
+
+    def parse(text):
+        path = tmp_path / "study.cfg"
+        path.write_text(text)
+        return _parse_config_file(str(path))
+
+    plural = parse(
+        "# a study\n"
+        "geometry = c0_single  # trailing comment\n"
+        "\n"
+        "# out = ignored.csv\n"
+        "variants = std, mxd\n"
+        "degrees = 2,3\n"
+        "levels = 1,2,3\n"
+        "thicknesses = 0.1,1e-4\n"
+        "continuity_reduction = yes\n"
+        "shear_weights = bspline\n"
+        "out = results.csv\n"
+        "record_timings = off\n"
+    )
+    assert plural == StudyConfig(
+        geometry="c0_single",
+        variants=("std", "mxd"),
+        degrees=(2, 3),
+        levels=(1, 2, 3),
+        thicknesses=(0.1, 1e-4),
+        continuity_reduction=True,
+        shear_weighting="bspline",
+        out="results.csv",
+        record_timings=False,
+    )
+    singular = parse("geometry = undistorted\nvariant = ead\ndegree = 3\nthickness = 0.5\n")
+    assert singular == StudyConfig(
+        geometry="undistorted", variants=("ead",), degrees=(3,), thicknesses=(0.5,)
+    )
+    for spelling, value in (
+        ("1", True),
+        ("TRUE", True),
+        ("Yes", True),
+        ("on", True),
+        ("0", False),
+        ("false", False),
+        ("no", False),
+        ("off", False),
+    ):
+        cfg = parse(
+            f"geometry = undistorted\ncontinuity_reduction = {spelling}\n"
+            f"record_timings = {spelling}\n"
+        )
+        assert cfg.continuity_reduction is value and cfg.record_timings is value
+    with pytest.raises(ParseError, match="config needs a 'geometry' entry"):
+        parse("variants = ead\n")
+    with pytest.raises(ParseError, match=r"unknown config keys: \['colour'\]"):
+        parse("geometry = undistorted\ncolour = red\n")
+    with pytest.raises(ParseError, match="line 2: expected 'key = value'"):
+        parse("geometry = undistorted\nlevels 1,2\n")
+
+
+@pytest.mark.parametrize(
+    "field,value", [("thickness", 0.2), ("e_mod", 2e4), ("nu", 0.25), ("kappa", 1.0)]
+)
+def test_run_single_rejects_a_problem_and_config_for_different_plates(field, value):
+    problem = BenchmarkProblem("undistorted", thickness=0.1)
+    config = SolveConfig(variant="mxd", degree=2, level=1, thickness=0.1)
+    if field == "thickness":
+        problem = BenchmarkProblem("undistorted", thickness=value)
+    else:
+        config = dataclasses.replace(config, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        run_single(geometry_catalog("undistorted"), problem, config)
 
 
 def test_cli_convergence_failure_exit_code(tmp_path, capsys):

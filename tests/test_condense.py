@@ -35,7 +35,7 @@ def _weighted_system(geometry="undistorted", p=2, level=1, t=0.1, shear_weightin
 
 
 def _identity_transform(n):
-    return DualTransform2D(matrix=sp.identity(n, format="csr"), mode="bspline", shape_uv=(n, 1))
+    return DualTransform2D(matrix=sp.identity(n, format="csr"), mode="bspline")
 
 
 # pg_transform ----------------------------------------------------------------------

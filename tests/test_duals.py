@@ -29,26 +29,18 @@ def kv_of(vals, p):
 
 def test_reduce_c1_knot():
     kv = kv_of([0, 0, 0, 0.5, 1, 1, 1], 2)
-    red = reduce_continuity(kv, "all_knots")
+    red = reduce_continuity(kv)
     assert np.allclose(red.values, [0, 0, 0, 0.5, 0.5, 1, 1, 1])
 
 
 def test_reduce_keeps_c0():
     kv = kv_of([0, 0, 0, 0.5, 0.5, 1, 1, 1], 2)
-    for mode in ("all_knots", "preserve_C0"):
-        red = reduce_continuity(kv, mode)
-        assert np.allclose(red.values, kv.values)
+    assert np.allclose(reduce_continuity(kv).values, kv.values)
 
 
 def test_reduce_no_interior():
     kv = kv_of([0, 0, 1, 1], 1)
-    for mode in ("all_knots", "preserve_C0"):
-        assert np.allclose(reduce_continuity(kv, mode).values, kv.values)
-
-
-def test_reduce_bad_mode():
-    with pytest.raises(ValueError):
-        reduce_continuity(kv_of([0, 0, 1, 1], 1), "everything")
+    assert np.allclose(reduce_continuity(kv).values, kv.values)
 
 
 # gram matrix -------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from igaplate.bench import geometry_catalog
 from igaplate.duals import gram_matrix
+from igaplate.multipatch import assemble_primal_multipatch, build_dof_map
 from igaplate.plate import (
     DegreeTooLow,
     InvalidMaterial,
@@ -12,7 +13,6 @@ from igaplate.plate import (
     PatchDiscretization,
     apply_clamped_bc,
     assemble,
-    assemble_primal,
     boundary_point_ids,
     build_field_spaces,
     element_matrices,
@@ -22,6 +22,12 @@ from igaplate.plate import (
 
 def unit_patch():
     return geometry_catalog("undistorted").patches[0]
+
+
+def _one_patch_primal(disc, mat, load=None):
+    """Primal (K, f, boundary_d) of one patch in its own d numbering."""
+    pa = build_dof_map([disc.spaces.patch])
+    return assemble_primal_multipatch(pa, [disc], mat, load)
 
 
 # material ----------------------------------------------------------------------
@@ -292,7 +298,7 @@ def test_primal_matches_mixed_for_thick_plate():
     def load(x, y):
         return np.ones_like(x)
 
-    k, f, boundary = assemble_primal(disc, mat, load)
+    k, f, boundary = _one_patch_primal(disc, mat, load)
     mask = np.ones(k.shape[0], dtype=bool)
     mask[boundary] = False
     free = np.flatnonzero(mask)
@@ -394,7 +400,7 @@ def test_batched_kernel_matches_pointwise_quadrature(patch, p, level):
     for scheme in ("galerkin", "weighted"):
         k_tt, k_ds1, k_s11, k_primal = _pointwise_blocks(disc, mat, scheme)
         system = assemble(disc, mat, scheme)
-        k, _, _ = assemble_primal(disc, mat)
+        k, _, _ = _one_patch_primal(disc, mat)
         for got, want in (
             (system.k_dd[nw:, nw:], k_tt),
             (system.k_ds1[0], k_ds1),
@@ -422,7 +428,7 @@ def test_folded_control_net_raises_degenerate_jacobian():
     with pytest.raises(DegenerateJacobian, match=r"element \(0, 0\)"):
         assemble(disc, mat, "weighted")
     with pytest.raises(DegenerateJacobian, match=r"element \(0, 0\)"):
-        assemble_primal(disc, mat)
+        _one_patch_primal(disc, mat)
 
 
 @pytest.mark.parametrize("geometry", ["undistorted", "mp_various"])

@@ -61,6 +61,11 @@ VARIANTS = ("std", "mxd", "lmp", "ad", "ead")
 # GMRES preconditioned with the primal matrix's LU; smaller ones by LU alone.
 # Break-even measured on c1_single and nurbs_distorted (see README).
 GMRES_MIN_DOFS = 1000
+# ... and only if the mesh slenderness kGt h^2 / D is at most this.  The
+# primal preconditioner locks in shear as it grows: every measured ead cell
+# up to 187 converged, every one from 380 was rejected (table in README;
+# remeasure with scripts/krylov_map.py).
+GMRES_MAX_SLENDERNESS = 250.0
 
 
 @dataclass(frozen=True)
@@ -334,6 +339,23 @@ class VariantSolution:
         return self.d_full[d_ids(points, self.ctx.refined.n_points)[:, 1:]]
 
 
+def mesh_slenderness(ctx: ProblemContext, mat) -> float:
+    """kGt h^2 / D, the shear-to-bending stiffness ratio of the largest element.
+
+    h is the largest element edge over the refined patches, taken per patch
+    and parametric direction as the longest chord of a control-net row (first
+    to last control point) divided by the elements along it.
+    """
+    h = 0.0
+    for spaces in ctx.spaces:
+        pts = spaces.patch.net.points
+        chord_u = np.linalg.norm(pts[-1] - pts[0], axis=-1).max()
+        chord_v = np.linalg.norm(pts[:, -1] - pts[:, 0], axis=-1).max()
+        n_u, n_v = len(spaces.disp.kv_u.spans()), len(spaces.disp.kv_v.spans())
+        h = max(h, chord_u / n_u, chord_v / n_v)
+    return float(mat.kgt * h**2 / mat.d_bend[0, 0])
+
+
 def _primal_free(ctx: ProblemContext, mat, load=None) -> tuple:
     """Primal matrix and load on the free d DOFs, and those DOFs' ids."""
     k, f, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, mat, load)
@@ -346,10 +368,11 @@ def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
 
     The variants differ only in the (matrix, rhs) they build; all of them
     share one factorisation and one solve.  A condensed system with at least
-    GMRES_MIN_DOFS free d DOFs, and no condition estimate asked for, is
-    first solved by GMRES preconditioned with the LU of the primal matrix on
-    the same DOFs; if that answer misses the Krylov residual gate, the
-    condensed matrix is factorised directly as for every other system.
+    GMRES_MIN_DOFS free d DOFs, a mesh slenderness of at most
+    GMRES_MAX_SLENDERNESS and no condition estimate asked for is first
+    solved by GMRES preconditioned with the LU of the primal matrix on the
+    same DOFs; if that answer misses the Krylov gates, the condensed matrix
+    is factorised directly as for every other system.
     """
     mat = config.make_material()
     t0 = time.perf_counter()
@@ -373,7 +396,11 @@ def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
             matrix, rhs = cond.k_cond, cond.f_d
             lump_dev = cond.lump_dev
             diagnostics["condense_mode"] = cond.mode
-            if not config.estimate_condition and len(free) >= GMRES_MIN_DOFS:
+            if (
+                not config.estimate_condition
+                and len(free) >= GMRES_MIN_DOFS
+                and mesh_slenderness(ctx, mat) <= GMRES_MAX_SLENDERNESS
+            ):
                 primal, _, _ = _primal_free(ctx, mat)
 
     t1 = time.perf_counter()

@@ -15,6 +15,20 @@ GMRES_RESTART = 60  # iterations of the one GMRES cycle; converging cells measur
 KRYLOV_GATE = 1e-13  # backward-error bound an iterative answer must meet
 
 
+def _inf_norm(a: sp.csr_matrix | sp.csc_matrix) -> float:
+    """||A||_inf summed over the stored entries in one O(nnz) pass.
+
+    Unlike scipy.sparse.linalg.norm, whose abs() sorts the indices of A in
+    place, this leaves A (and so the caller's matrix it may share arrays
+    with) untouched.
+    """
+    if a.nnz == 0:
+        return 0.0
+    n = a.shape[0]
+    rows = a.indices if a.format == "csc" else np.repeat(np.arange(n), np.diff(a.indptr))
+    return float(np.bincount(rows, weights=np.abs(a.data), minlength=n).max())
+
+
 def _residual_and_bound(a, x, b, tol: float, norm_a: float) -> tuple[float, float]:
     """||Ax - b|| and the bound tol (||A|| ||x|| + ||b||) it must not exceed."""
     resid = np.linalg.norm(a @ x - b)
@@ -39,7 +53,7 @@ class DirectSolver:
             self._lu = spla.splu(self.a)
         except (RuntimeError, ValueError) as exc:
             raise SingularMatrix(str(exc)) from exc
-        self.norm_a = spla.norm(self.a, np.inf) if self.a.nnz else 0.0
+        self.norm_a = _inf_norm(self.a)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -76,15 +90,18 @@ class KrylovSolver:
     diagonal pivots), which suits a symmetric positive definite M.  One
     solve runs a single cycle of at most GMRES_RESTART iterations from
     x0 = 0, so it is deterministic; it stops early once the preconditioned
-    residual has fallen by KRYLOV_GATE.  An answer is returned only if
+    residual has fallen by KRYLOV_GATE.  An answer is returned only if the
+    cycle stopped before its last iteration and
     ||Ax - b|| <= KRYLOV_GATE (||A|| ||x|| + ||b||) in the infinity norm of
     A, as in DirectSolver; otherwise solve() returns None and the caller
-    decides how to solve instead.
+    decides how to solve instead.  A cycle that needs every iteration has
+    not converged, and its answer can pass the residual gate while far off
+    the LU answer (1.1e-9 relative on c0_single lmp p=3 L3 t=1e-2).
     """
 
     def __init__(self, a, m):
         self.a = sp.csr_matrix(a, dtype=float)
-        self.norm_a = spla.norm(self.a, np.inf) if self.a.nnz else 0.0
+        self.norm_a = _inf_norm(self.a)
         self.iterations = 0
         try:
             self._lu = spla.splu(
@@ -114,7 +131,7 @@ class KrylovSolver:
             callback_type="pr_norm",
         )
         self.iterations = len(residuals)
-        if not np.all(np.isfinite(x)):
+        if self.iterations >= GMRES_RESTART or not np.all(np.isfinite(x)):
             return None
         resid, bound = _residual_and_bound(self.a, x, b, KRYLOV_GATE, self.norm_a)
         return x if resid <= bound else None

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from igaplate.sparse import KrylovSolver, SingularMatrix, nnz_and_bandwidth, solve_direct
+from igaplate.sparse import (
+    DirectSolver,
+    KrylovSolver,
+    SingularMatrix,
+    nnz_and_bandwidth,
+    solve_direct,
+)
 
 
 def test_identity_solve():
@@ -85,3 +91,21 @@ def test_krylov_solver_returns_only_answers_within_its_gate():
     slow = KrylovSolver(stiff, sp.identity(n, format="csr"))
     assert slow.solve(b) is None and slow.iterations == 60
     assert KrylovSolver(a, sp.csr_matrix((n, n))).solve(b) is None
+
+
+def test_solvers_take_the_inf_norm_without_reordering_the_callers_matrix():
+    n = 50
+    bands = [-np.ones(n - 1), 4.0 * np.ones(n), -2.0 * np.ones(n - 1)]
+    lap = sp.diags(bands, [-1, 0, 1], format="csr")
+    # the same matrix with every row's column indices stored in descending order
+    ptr = lap.indptr
+    order = np.concatenate([np.arange(ptr[i + 1] - 1, ptr[i] - 1, -1) for i in range(n)])
+    a = sp.csr_matrix((lap.data[order], lap.indices[order], lap.indptr), shape=(n, n))
+    assert not a.has_sorted_indices
+    indices, data = a.indices.copy(), a.data.copy()
+    dense_norm = np.abs(a.toarray()).sum(axis=1).max()
+    krylov = KrylovSolver(a, lap)
+    assert krylov.solve(np.ones(n)) is not None
+    assert krylov.norm_a == dense_norm == DirectSolver(a).norm_a == 7.0
+    assert np.array_equal(a.indices, indices) and np.array_equal(a.data, data)
+    assert not a.has_sorted_indices

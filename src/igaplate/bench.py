@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .condense import SolveConfig, VariantSolution, solve_variant
+from .condense import SolveConfig, VariantSolution, build_parts, solve_parts, solve_variant
 from .multipatch import PatchAssembly, build_dof_map
 from .plate import PatchDiscretization, material
 from .splines import ControlNet, DecreasingKnots, SplineError, SurfacePatch, validate_knot_vector
@@ -566,16 +566,22 @@ def run_single(
 
 
 def run_convergence_study(config: StudyConfig) -> list[ConvergenceRecord]:
-    """Run all (variant, p, t, level) cells of one geometry; write CSV if asked."""
+    """Run all (variant, p, t, level) cells of one geometry; write CSV if asked.
+
+    The thickness-free parts of each (variant, p, level) are built once and
+    solve every thickness; a level's parts are released before the next
+    level is built.  The L2 errors are taken afterwards, cell by cell in
+    record order.
+    """
     assembly = load_geometry(config.geometry)
     spans = _coarse_spans(assembly)
     records: list[ConvergenceRecord] = []
     for variant in config.variants:
         for p in config.degrees:
-            for t in config.thicknesses:
-                problem = BenchmarkProblem(geometry=config.geometry, thickness=t)
-                prev_err = None
-                for level in config.levels:
+            solved = {}  # (t, level) -> solution, or the name of the exception it raised
+            for level in config.levels:
+                parts = None
+                for i, t in enumerate(config.thicknesses):
                     cfg = SolveConfig(
                         variant=variant,
                         degree=p,
@@ -584,6 +590,19 @@ def run_convergence_study(config: StudyConfig) -> list[ConvergenceRecord]:
                         shear_weighting=config.shear_weighting,
                         continuity_reduction=config.continuity_reduction,
                     )
+                    load = BenchmarkProblem(geometry=config.geometry, thickness=t).load
+                    try:
+                        if parts is None:
+                            parts = build_parts(assembly, cfg)
+                        last = i == len(config.thicknesses) - 1
+                        solved[t, level] = solve_parts(parts, cfg, load, last=last)
+                    except Exception as exc:  # record and continue
+                        solved[t, level] = type(exc).__name__
+                del parts
+            for t in config.thicknesses:
+                problem = BenchmarkProblem(geometry=config.geometry, thickness=t)
+                prev_err = None
+                for level in config.levels:
                     cell = dict(
                         geometry=config.geometry,
                         variant=variant,
@@ -592,10 +611,14 @@ def run_convergence_study(config: StudyConfig) -> list[ConvergenceRecord]:
                         level=level,
                         elems_per_dir=spans * 2**level,
                     )
-                    try:
-                        sol, err = run_single(assembly, problem, cfg)
-                    except Exception as exc:  # record and continue
-                        records.append(ConvergenceRecord(**cell, error=type(exc).__name__))
+                    sol = solved[t, level]
+                    if not isinstance(sol, str):
+                        try:
+                            err = l2_error(sol, problem)
+                        except Exception as exc:  # record and continue
+                            sol = type(exc).__name__
+                    if isinstance(sol, str):
+                        records.append(ConvergenceRecord(**cell, error=sol))
                         prev_err = None
                         continue
                     d = sol.diagnostics

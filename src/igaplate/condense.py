@@ -30,8 +30,10 @@ from .duals import (
 )
 from .multipatch import PatchAssembly, assemble_multipatch, assemble_primal_multipatch, build_dof_map
 from .plate import (
+    LoadQuadrature,
     MixedSystem,
     PatchDiscretization,
+    UnitMaterial,
     _csr,
     _mixed_blocks,
     _rotation_ids,
@@ -109,7 +111,7 @@ class ProblemContext:
     refined: PatchAssembly
     spaces: list
     discs: list
-    config: SolveConfig
+    config: SolveConfig  # only its thickness-free fields are read (see _discretisation)
 
 
 def prepare_problem(assembly: PatchAssembly | SurfacePatch, config: SolveConfig) -> ProblemContext:
@@ -203,9 +205,16 @@ def row_sum_lump(block, require_positive: bool = False) -> tuple[np.ndarray, flo
 
 @dataclass
 class CondensedSystem:
-    """Displacement-only system with per-patch shear recovery operators."""
+    """Displacement-only system with per-patch shear recovery operators.
 
-    k_cond: sp.csr_matrix
+    The condensed matrix K_dd - sum_a K_dSa X_a is kept as its bending part
+    K_dd and its shear part sum_a K_dSa X_a.  Every X_a is proportional to
+    kappa*G*t, so parts condensed from unit material scalars give the
+    matrix of any thickness divided by D as matrix(kappa*G*t / D).
+    """
+
+    k_dd: sp.csr_matrix
+    k_shear: sp.csr_matrix
     f_d: np.ndarray
     recovery: list  # per patch: (X1, X2); shear recovery S_a = -X_a @ d
     mode: str  # 'identity' | 'diagonal' | 'schur'
@@ -213,7 +222,15 @@ class CondensedSystem:
 
     @property
     def n(self) -> int:
-        return self.k_cond.shape[0]
+        return self.k_dd.shape[0]
+
+    def matrix(self, ratio: float = 1.0) -> sp.csr_matrix:
+        """K_dd - ratio * sum_a K_dSa X_a."""
+        return (self.k_dd - ratio * self.k_shear).tocsr()
+
+    @property
+    def k_cond(self) -> sp.csr_matrix:
+        return self.matrix()
 
 
 def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
@@ -228,7 +245,7 @@ def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
     Unlumped condensation factorises each shear block (the expensive exact
     Schur complement).
     """
-    k = system.k_dd.astype(float)
+    shear = None
     recovery = []
     dev = 0.0
     mode = "schur"
@@ -254,9 +271,11 @@ def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
             ops.append(x)
         recovery.append(tuple(ops))
         for k_ds, x in zip((system.k_ds1[p], system.k_ds2[p]), ops):
-            k = k - (k_ds @ x)
+            part = k_ds @ x
+            shear = part if shear is None else shear + part
     return CondensedSystem(
-        k_cond=k.tocsr(),
+        k_dd=system.k_dd,
+        k_shear=shear.tocsr(),
         f_d=system.f_d.copy(),
         recovery=recovery,
         mode=mode,
@@ -279,7 +298,7 @@ def recover_shear(cond: CondensedSystem, d_solution: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 
-def pg_shear_rows_elementwise(disc: PatchDiscretization, mat, t1: DualTransform2D, t2: DualTransform2D, load=None):
+def pg_shear_rows_elementwise(disc: PatchDiscretization, mat, t1: DualTransform2D, t2: DualTransform2D):
     """Assemble already-transformed shear rows element by element.
 
     Sums T^e K^e over the elements of the batched kernel, which equals
@@ -291,7 +310,7 @@ def pg_shear_rows_elementwise(disc: PatchDiscretization, mat, t1: DualTransform2
     nd, ns1, ns2 = spaces.nd, spaces.s1.ndof, spaces.s2.ndof
     parts = {key: [] for key in ("s1d", "s2d", "s11", "s22")}
     for eu, ev in disc.chunks():
-        k = _mixed_blocks(disc, mat, "weighted", eu, ev, load)
+        k = _mixed_blocks(disc, mat, "weighted", eu, ev)
         rot = _rotation_ids(k["gi"], spaces.disp.ndof)
         for key, t, theta in (("1", t1, rot[:, 0::2]), ("2", t2, rot[:, 1::2])):
             s = k[f"s{key}_idx"]
@@ -339,6 +358,11 @@ class VariantSolution:
         return self.d_full[d_ids(points, self.ctx.refined.n_points)[:, 1:]]
 
 
+def _ratio(mat) -> float:
+    """kappa*G*t / D: the one thickness-dependent scalar of a nondimensional system."""
+    return mat.kgt / mat.bending_stiffness
+
+
 def mesh_slenderness(ctx: ProblemContext, mat) -> float:
     """kGt h^2 / D, the shear-to-bending stiffness ratio of the largest element.
 
@@ -353,55 +377,153 @@ def mesh_slenderness(ctx: ProblemContext, mat) -> float:
         chord_v = np.linalg.norm(pts[:, -1] - pts[:, 0], axis=-1).max()
         n_u, n_v = len(spaces.disp.kv_u.spans()), len(spaces.disp.kv_v.spans())
         h = max(h, chord_u / n_u, chord_v / n_v)
-    return float(mat.kgt * h**2 / mat.d_bend[0, 0])
+    return float(_ratio(mat) * h**2)
 
 
-def _primal_free(ctx: ProblemContext, mat, load=None) -> tuple:
-    """Primal matrix and load on the free d DOFs, and those DOFs' ids."""
-    k, f, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, mat, load)
-    free = free_dofs(k.shape[0], boundary)
-    return k[np.ix_(free, free)].tocsr(), f[free], free
+def _discretisation(config: SolveConfig) -> tuple:
+    """The fields of a config that thickness-free parts depend on."""
+    c = config
+    return (c.variant, c.degree, c.level, c.shear_weighting, c.reduction, c.nu)
 
 
-def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
-    """Build spaces, assemble, and solve with the requested formulation.
+def _primal_parts(ctx: ProblemContext, bending: bool = True) -> tuple:
+    """Primal shear-penalty and bending parts on the free d DOFs, load quadrature, free DOFs.
 
-    The variants differ only in the (matrix, rhs) they build; all of them
-    share one factorisation and one solve.  A condensed system with at least
+    Built with unit material scalars; without `bending` only the shear
+    part is assembled and the bending part is None.
+    """
+    unit = UnitMaterial(ctx.config.nu)
+    shear, bend, quad, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, unit, bending)
+    free = free_dofs(shear.shape[0], boundary)
+    sub = np.ix_(free, free)
+    return shear[sub].tocsr(), None if bend is None else bend[sub].tocsr(), quad, free
+
+
+@dataclass
+class ThicknessFreeParts:
+    """What one discretisation's solves share across thicknesses.
+
+    Built once per (geometry, variant, degree, level, nu, shear weighting,
+    continuity reduction) with unit material scalars, D = 1 and
+    kappa*G*t = 1 (see build_parts).  Thickness enters every block through
+    these two scalars only, so each thickness solves a nondimensional
+    system made from these parts (see system_at).
+    """
+
+    ctx: ProblemContext
+    free: np.ndarray  # free d DOFs
+    quadrature: LoadQuadrature | None  # None once released
+    system: MixedSystem | None = None  # mxd: the saddle blocks
+    cond: CondensedSystem | None = None  # lmp/ad/ead: bending and shear parts
+    primal_parts: tuple | None = None  # (bending, shear penalty) on the free DOFs
+    build_s: float = 0.0  # charged to the first thickness solved from these parts
+
+    def primal(self, mat) -> sp.csc_matrix:
+        """Primal matrix of mat divided by D on the free d DOFs, bending + (kGt/D) shear.
+
+        A condensed system's parts are built on first use and kept for
+        later thicknesses.  Its bending part is its own K_dd, the same
+        bending blocks summed in the same order, so only the shear-penalty
+        part is assembled for it.
+        """
+        if self.primal_parts is None:
+            shear = _primal_parts(self.ctx, bending=False)[0]
+            self.primal_parts = (self.cond.k_dd, shear)
+        bending, shear = self.primal_parts
+        return (bending + _ratio(mat) * shear).tocsc()
+
+    def system_at(self, mat, load=None) -> tuple:
+        """Matrix and right-hand side of mat's system, nondimensionalised by D.
+
+        std, lmp, ad, ead: the d rows divided by D, that is the bending part
+        plus kappa*G*t / D times the shear part (see primal and
+        CondensedSystem.matrix), against f / D.  mxd: the same rows, and the
+        shear unknowns scaled by 1/D, so the shear-shear blocks carry
+        D / (kappa*G*t) and the shear rows keep their right-hand side of 0.
+        """
+        if self.quadrature is None:
+            raise ValueError("these parts were released by the last thickness they solved")
+        d = mat.bending_stiffness
+        f = self.quadrature.vector(load)[self.free] / d
+        if self.system is not None:
+            s = d / mat.kgt
+            return replace(
+                self.system,
+                k_s11=[s * m for m in self.system.k_s11],
+                k_s22=[s * m for m in self.system.k_s22],
+                f_d=f,
+            ).monolithic()
+        if self.cond is not None:
+            return self.cond.matrix(_ratio(mat)), f
+        return self.primal(mat), f
+
+    def release(self) -> None:
+        """Drop the matrices: the parts still recover shear but solve no other thickness."""
+        self.quadrature = self.system = self.primal_parts = None
+        if self.cond is not None:
+            self.cond.k_dd = self.cond.k_shear = None
+
+
+def build_parts(assembly, config: SolveConfig) -> ThicknessFreeParts:
+    """Refine, assemble, eliminate the boundary, transform and condense once.
+
+    Nothing here reads the thickness, E or kappa of the config: the kernel
+    runs with unit material scalars and no load, and keeps the load
+    quadrature for the solves.
+    """
+    t0 = time.perf_counter()
+    ctx = prepare_problem(assembly, config)
+    if config.variant == "std":
+        shear, bending, quad, free = _primal_parts(ctx)
+        parts = ThicknessFreeParts(ctx, free, quad, primal_parts=(bending, shear))
+    else:
+        system = assemble_mixed(ctx, UnitMaterial(config.nu))
+        parts = ThicknessFreeParts(ctx, system.free_d, system.quadrature)
+        if config.variant == "mxd":
+            parts.system = system
+        else:
+            if config.variant in ("ad", "ead"):
+                system = pg_transform(system, *build_transforms(ctx))
+            parts.cond = condense(system, lumped=True)
+    parts.build_s = time.perf_counter() - t0
+    return parts
+
+
+def solve_parts(
+    parts: ThicknessFreeParts, config: SolveConfig, load=None, last: bool = False
+) -> VariantSolution:
+    """Solve one thickness from parts built for the same discretisation.
+
+    With `last`, the parts' matrices are released once this thickness's
+    system is formed, so they do not share the memory peak of its
+    factorisation; the parts then solve no other thickness.
+
+    All variants share one factorisation and one solve of the
+    nondimensional system.  A condensed system with at least
     GMRES_MIN_DOFS free d DOFs, a mesh slenderness of at most
     GMRES_MAX_SLENDERNESS and no condition estimate asked for is first
     solved by GMRES preconditioned with the LU of the primal matrix on the
     same DOFs; if that answer misses the Krylov gates, the condensed matrix
     is factorised directly as for every other system.
     """
+    if _discretisation(config) != _discretisation(parts.ctx.config):
+        raise ValueError("the parts were built for another discretisation")
     mat = config.make_material()
     t0 = time.perf_counter()
-    ctx = prepare_problem(assembly, config)
+    ctx, free = parts.ctx, parts.free
     diagnostics: dict = {"variant": config.variant}
-    lump_dev = None
-
     primal = None
-    if config.variant == "std":
-        matrix, rhs, free = _primal_free(ctx, mat, load)
-    else:
-        system = assemble_mixed(ctx, mat, load)
-        free = system.free_d
-        if config.variant == "mxd":
-            matrix, rhs = system.monolithic()
-        else:
-            if config.variant in ("ad", "ead"):
-                t1s, t2s = build_transforms(ctx)
-                system = pg_transform(system, t1s, t2s)
-            cond = condense(system, lumped=True)
-            matrix, rhs = cond.k_cond, cond.f_d
-            lump_dev = cond.lump_dev
-            diagnostics["condense_mode"] = cond.mode
-            if (
-                not config.estimate_condition
-                and len(free) >= GMRES_MIN_DOFS
-                and mesh_slenderness(ctx, mat) <= GMRES_MAX_SLENDERNESS
-            ):
-                primal, _, _ = _primal_free(ctx, mat)
+    if parts.cond is not None:
+        diagnostics["condense_mode"] = parts.cond.mode
+        if (
+            not config.estimate_condition
+            and len(free) >= GMRES_MIN_DOFS
+            and mesh_slenderness(ctx, mat) <= GMRES_MAX_SLENDERNESS
+        ):
+            primal = parts.primal(mat)  # before the matrix: a first build peaks in memory
+    matrix, rhs = parts.system_at(mat, load)
+    if last:
+        parts.release()
 
     t1 = time.perf_counter()
     x, iterations = None, None
@@ -418,15 +540,16 @@ def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
         x = solver.solve(rhs)
     t3 = time.perf_counter()
 
-    if config.variant == "std":
-        d_free, shear = x, None
-    elif config.variant == "mxd":
-        # x holds d, then S1 of every patch, then S2 of every patch
-        sizes = [system.nd] + [m.shape[0] for m in system.k_s11 + system.k_s22]
-        d_free, *parts = np.split(x, np.cumsum(sizes)[:-1])
-        shear = list(zip(parts[: system.n_patches], parts[system.n_patches :]))
+    if config.variant == "mxd":
+        # x holds d, then S1 of every patch, then S2 of every patch, all over D
+        sizes = [len(free)] + [s.s1.ndof for s in ctx.spaces] + [s.s2.ndof for s in ctx.spaces]
+        d_free, *scaled = np.split(x, np.cumsum(sizes)[:-1])
+        shear = [mat.bending_stiffness * s for s in scaled]
+        shear = list(zip(shear[: len(ctx.spaces)], shear[len(ctx.spaces) :]))
+    elif parts.cond is not None:
+        d_free, shear = x, recover_shear(parts.cond, mat.kgt * x)
     else:
-        d_free, shear = x, recover_shear(cond, x)
+        d_free, shear = x, None
 
     ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
     nnz, band = nnz_and_bandwidth(matrix)
@@ -437,14 +560,15 @@ def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
             "n_dof_solved": int(matrix.shape[0]),
             "nnz_solved": nnz,
             "bandwidth": band,
-            "assembly_s": t1 - t0,
+            "assembly_s": parts.build_s + t1 - t0,
             "factor_s": t2 - t1,
             "solve_s": t3 - t2,
-            "lump_dev": lump_dev,
+            "lump_dev": None if parts.cond is None else parts.cond.lump_dev,
             "solver": "gmres" if isinstance(solver, KrylovSolver) else "lu",
             "iterations": iterations,
         }
     )
+    parts.build_s = 0.0
     if config.estimate_condition:
         diagnostics["cond_est"] = solver.condition_estimate()
 
@@ -457,3 +581,12 @@ def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
         shear=shear,
         diagnostics=diagnostics,
     )
+
+
+def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
+    """Build spaces, assemble, and solve with the requested formulation.
+
+    The thickness-free parts are built for this one solve; see build_parts
+    and solve_parts.
+    """
+    return solve_parts(build_parts(assembly, config), config, load, last=True)

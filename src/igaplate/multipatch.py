@@ -195,8 +195,12 @@ def assemble_multipatch(
     return assemble_patches(discs, d_maps, nd, mat, scheme, boundary_d_indices(pa), load)
 
 
-def assemble_primal_multipatch(pa: PatchAssembly, discs: list, mat, load=None):
-    """Global primal system in the unified displacement numbering."""
+def assemble_primal_multipatch(pa: PatchAssembly, discs: list, mat, bending: bool = True):
+    """Primal shear-penalty and bending parts, load quadrature and boundary d ids.
+
+    All in the unified displacement numbering; the primal matrix is the sum
+    of the two parts (see assemble_primal_patches).
+    """
     d_maps = [d_index_map(pa, p) for p in range(len(discs))]
-    k, f = assemble_primal_patches(discs, d_maps, 3 * pa.n_points, mat, load)
-    return k, f, boundary_d_indices(pa)
+    shear, bend, quad = assemble_primal_patches(discs, d_maps, 3 * pa.n_points, mat, bending)
+    return shear, bend, quad, boundary_d_indices(pa)

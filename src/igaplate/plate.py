@@ -20,7 +20,7 @@ Bivariate index ordering is k = i*m + j with i along xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,11 +68,35 @@ class PlateMaterial:
         return self.kappa * self.g_mod * self.t
 
     @property
+    def bending_stiffness(self) -> float:
+        """D = E t^3 / (12 (1 - nu^2)); D_B = D * bending_matrix(nu)."""
+        return self.e_mod * self.t**3 / (12.0 * (1.0 - self.nu**2))
+
+    @property
     def d_bend(self) -> np.ndarray:
-        fac = self.e_mod * self.t**3 / (12.0 * (1.0 - self.nu**2))
-        return fac * np.array(
-            [[1.0, self.nu, 0.0], [self.nu, 1.0, 0.0], [0.0, 0.0, 0.5 * (1.0 - self.nu)]]
-        )
+        return self.bending_stiffness * bending_matrix(self.nu)
+
+
+@dataclass(frozen=True)
+class UnitMaterial:
+    """Kernel scalars with D = 1 and kappa*G*t = 1.
+
+    Thickness enters the element blocks only through D and kappa*G*t, so
+    blocks built with these scalars are the thickness-free parts of every
+    thickness's blocks.
+    """
+
+    nu: float
+    kgt: float = 1.0
+
+    @property
+    def d_bend(self) -> np.ndarray:
+        return bending_matrix(self.nu)
+
+
+def bending_matrix(nu: float) -> np.ndarray:
+    """Material matrix of bending per unit bending stiffness D."""
+    return np.array([[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, 0.5 * (1.0 - nu)]])
 
 
 def material(e_mod: float, nu: float, t: float, kappa: float = 5.0 / 6.0) -> PlateMaterial:
@@ -379,11 +403,39 @@ def _bending(gx: np.ndarray, gy: np.ndarray, w: np.ndarray, d_m: np.ndarray) -> 
     return _swap(bw) @ db
 
 
-def _load_vector(geo: dict, w_phys: np.ndarray, load) -> np.ndarray:
-    """Consistent load on the w functions of a batch: (E, L)."""
-    xy = geo["xy"].reshape(-1, 2)
-    fv = np.asarray(load(xy[:, 0], xy[:, 1]), dtype=float).reshape(w_phys.shape)
-    return (_swap(geo["r"]) @ (fv * w_phys)[..., None])[..., 0]
+@dataclass
+class LoadQuadrature:
+    """Quadrature of the consistent load on the w functions, kept from an assembly pass.
+
+    Per batch of elements it holds the global w ids (E, L), the physical
+    quadrature points (E, Q, 2) and the w basis times the physical
+    quadrature weight (E, L, Q), so a load costs one evaluation at all
+    points and one scatter, with no second geometry pass.
+    """
+
+    nd: int
+    ids: list = field(default_factory=list)
+    xy: list = field(default_factory=list)
+    rw: list = field(default_factory=list)
+
+    def add(self, ids: np.ndarray, xy: np.ndarray, rw: np.ndarray) -> None:
+        self.ids.append(ids)
+        self.xy.append(xy)
+        self.rw.append(rw)
+
+    def vector(self, load=None) -> np.ndarray:
+        """Load vector over all nd d DOFs (zero without a load)."""
+        if load is None or not self.ids:
+            return np.zeros(self.nd)
+        xy = np.concatenate([p.reshape(-1, 2) for p in self.xy])
+        fv = np.asarray(load(xy[:, 0], xy[:, 1]), dtype=float).ravel()
+        vals, start = [], 0
+        for rw in self.rw:
+            ne, _, nq = rw.shape
+            vals.append((rw @ fv[start : start + ne * nq].reshape(ne, nq, 1)).ravel())
+            start += ne * nq
+        ids = np.concatenate([i.ravel() for i in self.ids])
+        return np.bincount(ids, np.concatenate(vals), minlength=self.nd)
 
 
 @dataclass
@@ -399,7 +451,7 @@ class ElementMatrices:
     k_s22: np.ndarray
 
 
-def _mixed_blocks(disc: PatchDiscretization, mat: PlateMaterial, scheme: str, eu, ev, load) -> dict:
+def _mixed_blocks(disc: PatchDiscretization, mat: PlateMaterial, scheme: str, eu, ev) -> dict:
     """Nonzero sub-blocks of the mixed element matrices of a batch of elements.
 
     'tt' is the bending block on the interleaved rotations; '_w' and '_t'
@@ -407,7 +459,8 @@ def _mixed_blocks(disc: PatchDiscretization, mat: PlateMaterial, scheme: str, eu
     the coupling blocks.  Every other sub-block of the element matrices is
     zero.  scheme='galerkin' uses the physical measure everywhere;
     scheme='weighted' integrates the shear rows with kappa*G*t * W^2 against
-    the parametric measure.  Shear rows carry the normalising -1.
+    the parametric measure.  Shear rows carry the normalising -1.  'xy'
+    and 'rw' are the load quadrature of the batch (see LoadQuadrature).
     """
     if scheme not in ("galerkin", "weighted"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -430,7 +483,6 @@ def _mixed_blocks(disc: PatchDiscretization, mat: PlateMaterial, scheme: str, eu
     rw = _swap(r * w_phys[..., None])
     n1w = _swap(n1 * w_shear[..., None])
     n2w = _swap(n2 * w_shear[..., None])
-    f_w = np.zeros(gx.shape[::2]) if load is None else _load_vector(geo, w_phys, load)
     return {
         "gi": geo["gi"],
         "s1_idx": s1_idx,
@@ -448,7 +500,8 @@ def _mixed_blocks(disc: PatchDiscretization, mat: PlateMaterial, scheme: str, eu
         "s2d_t": row_fac * (n2w @ r),
         "s11": ss_fac * (n1w @ n1),
         "s22": ss_fac * (n2w @ n2),
-        "f_w": f_w,
+        "xy": geo["xy"],
+        "rw": rw,
     }
 
 
@@ -460,7 +513,7 @@ def element_matrices(
 ) -> ElementMatrices:
     """Dense mixed blocks of one element: a one-element view of the batched kernel."""
     eu, ev = elem
-    k = {key: val[0] for key, val in _mixed_blocks(disc, mat, scheme, [eu], [ev], None).items()}
+    k = {key: val[0] for key, val in _mixed_blocks(disc, mat, scheme, [eu], [ev]).items()}
     nloc = len(k["gi"])
     ns1, ns2 = len(k["s11"]), len(k["s22"])
     k_dd = np.zeros((3 * nloc, 3 * nloc))
@@ -502,6 +555,7 @@ class MixedSystem:
     nd_full: int
     free_d: np.ndarray | None = None  # set after BC elimination
     transformed: bool = False  # shear rows pre-multiplied by dual transforms
+    quadrature: LoadQuadrature | None = None  # the load quadrature of the assembly pass
 
     @property
     def nd(self) -> int:
@@ -574,33 +628,49 @@ def _triplets(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, n_cols: in
 
 
 def _csr(shape, parts: list) -> sp.csr_matrix:
-    """One CSR build from (key, value) parts, summing duplicates in element order.
+    """One CSR build from (key, value) parts; see _csr_shared."""
+    (matrix,) = _csr_shared(shape, parts)
+    return matrix
 
-    The parts are packed into one key and one value array and each is
-    released from `parts` once copied.  A stable sort on the key keeps each
-    entry's contributions in the order the elements came, so the sums do not
-    depend on CHUNK.  Sums that cancel to exactly zero (on affine patches)
-    are not stored.
+
+def _csr_shared(shape, parts: list) -> list:
+    """CSR matrices on one pattern from (key, values, values, ...) parts, with one sort.
+
+    Every part holds one key array and one value array per matrix.  The
+    parts are packed into one key array and one value array per matrix, and
+    each part is released from `parts` once copied.  A stable sort on the
+    key keeps each entry's contributions in the order the elements came, so
+    the sums do not depend on CHUNK.  An entry is stored where any of the
+    matrices has a sum that is not exactly zero (sums that cancel on affine
+    patches are dropped), so all matrices share one pattern.  Keys and the
+    sort order are held in 32 bits where they fit, and the value arrays
+    are summed and released one at a time, to bound the peak memory.
     """
-    n = sum(len(k) for k, _ in parts)
-    key, vals = np.empty(n, dtype=np.int64), np.empty(n)
+    n = sum(len(part[0]) for part in parts)
+    small = np.iinfo(np.int32).max
+    key = np.empty(n, dtype=np.int32 if shape[0] * shape[1] <= small else np.int64)
+    vals = [np.empty(n) for _ in parts[0][1:]]
     start = 0
-    for i, (k, v) in enumerate(parts):
+    for i, (k, *v) in enumerate(parts):
         key[start : start + len(k)] = k
-        vals[start : start + len(k)] = v
+        for row, part in zip(vals, v):
+            row[start : start + len(k)] = part
         start += len(k)
         parts[i] = None
     order = np.argsort(key, kind="stable")
+    if n <= small:
+        order = order.astype(np.int32)
     key = key[order]
-    vals = vals[order]
-    del order
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    sums = np.add.reduceat(vals, first)
-    del vals
-    keep = sums != 0.0
-    key, sums = key[first][keep], sums[keep]
-    indptr = np.searchsorted(key, np.arange(shape[0] + 1) * shape[1])
-    return sp.csr_matrix((sums, key % shape[1], indptr), shape=shape)
+    sums = []
+    for i in range(len(vals)):
+        sums.append(np.add.reduceat(vals[i][order], first))
+        vals[i] = None
+    del order
+    keep = np.logical_or.reduce([s != 0.0 for s in sums])
+    key = key[first][keep]
+    indptr = np.searchsorted(key, np.arange(shape[0] + 1, dtype=np.int64) * shape[1])
+    return [sp.csr_matrix((s[keep], key % shape[1], indptr), shape=shape) for s in sums]
 
 
 def assemble_patches(
@@ -619,15 +689,14 @@ def assemble_patches(
     nonzero sub-blocks of the element matrices are stored.
     """
     dd = []
-    f_d = np.zeros(nd)
+    quad = LoadQuadrature(nd)
     blocks = {key: [] for key in ("ds1", "ds2", "s1d", "s2d", "s11", "s22")}
     for disc, d_map in zip(discs, d_maps):
         nw = disc.spaces.disp.ndof
         parts = {key: [] for key in blocks}
-        f_ids, f_vals = [], []
         ns1, ns2 = disc.spaces.s1.ndof, disc.spaces.s2.ndof
         for eu, ev in disc.chunks():
-            k = _mixed_blocks(disc, mat, scheme, eu, ev, load)
+            k = _mixed_blocks(disc, mat, scheme, eu, ev)
             w = d_map[k["gi"]]
             rot = d_map[_rotation_ids(k["gi"], nw)]
             s1, s2 = k["s1_idx"], k["s2_idx"]
@@ -642,9 +711,7 @@ def assemble_patches(
                     _triplets(s, t, k[f"s{key}d_t"], nd),
                 ]
                 parts[f"s{key}{key}"].append(_triplets(s, s, k[f"s{key}{key}"], ns))
-            f_ids.append(w.ravel())
-            f_vals.append(k["f_w"].ravel())
-        f_d += np.bincount(np.concatenate(f_ids), np.concatenate(f_vals), minlength=nd)
+            quad.add(w, k["xy"], k["rw"])
         for key, shape in (
             ("ds1", (nd, ns1)),
             ("ds2", (nd, ns2)),
@@ -662,9 +729,10 @@ def assemble_patches(
         k_s2d=blocks["s2d"],
         k_s11=blocks["s11"],
         k_s22=blocks["s22"],
-        f_d=f_d,
+        f_d=quad.vector(load),
         boundary_d=boundary_d,
         nd_full=nd,
+        quadrature=quad,
     )
 
 
@@ -700,6 +768,7 @@ def apply_clamped_bc(system: MixedSystem) -> tuple[MixedSystem, dict]:
         nd_full=system.nd_full,
         free_d=free,
         transformed=system.transformed,
+        quadrature=system.quadrature,
     )
     report = {
         "n_fixed": int(len(system.boundary_d)),
@@ -724,18 +793,19 @@ def expand_displacement(nd_full: int, free: np.ndarray, d_free: np.ndarray) -> n
 
 
 def assemble_primal_patches(
-    discs: list, d_maps: list, nd: int, mat: PlateMaterial, load=None
-) -> tuple[sp.csr_matrix, np.ndarray]:
+    discs: list, d_maps: list, nd: int, mat: PlateMaterial, bending: bool = True
+) -> tuple:
     """Standard irreducible form of several patches in a shared d numbering.
 
-    Bending plus the kappa*G*t shear penalty, integrated by the batched
-    kernel and scattered once; see assemble_patches for d_maps.
+    Returns the kappa*G*t shear-penalty part, the bending part (None unless
+    asked for) and the load quadrature; the primal matrix is the sum of the
+    two parts.  Both come from one pass of the batched kernel and one sort,
+    and share one pattern.  See assemble_patches for d_maps.
     """
     parts = []
-    f = np.zeros(nd)
+    quad = LoadQuadrature(nd)
     for disc, d_map in zip(discs, d_maps):
         nw = disc.spaces.disp.ndof
-        f_ids, f_vals = [], []
         for eu, ev in disc.chunks():
             geo = disc.geometry(eu, ev)
             r, gx, gy = geo["r"], geo["gx"], geo["gy"]
@@ -747,13 +817,14 @@ def assemble_primal_patches(
             bs[:, :, 0, nloc::2] = -r
             bs[:, :, 1, nloc + 1 :: 2] = -r
             bsw = (bs * w_phys[..., None, None]).reshape(ne, 2 * nq, -1)
-            k_e = mat.kgt * (_swap(bsw) @ bs.reshape(ne, 2 * nq, -1))
-            k_e[:, nloc:, nloc:] += _bending(gx, gy, w_phys, mat.d_bend)
+            k_shear = mat.kgt * (_swap(bsw) @ bs.reshape(ne, 2 * nq, -1))
             ids = d_map[d_ids(geo["gi"], nw)]
-            parts.append(_triplets(ids, ids, k_e, nd))
-            if load is not None:
-                f_ids.append(ids[:, :nloc].ravel())
-                f_vals.append(_load_vector(geo, w_phys, load).ravel())
-        if f_ids:
-            f += np.bincount(np.concatenate(f_ids), np.concatenate(f_vals), minlength=nd)
-    return _csr((nd, nd), parts), f
+            part = _triplets(ids, ids, k_shear, nd)
+            if bending:
+                k_bend = np.zeros_like(k_shear)
+                k_bend[:, nloc:, nloc:] = _bending(gx, gy, w_phys, mat.d_bend)
+                part += (k_bend.ravel(),)
+            parts.append(part)
+            quad.add(ids[:, :nloc], geo["xy"], _swap(r * w_phys[..., None]))
+    shear, *bend = _csr_shared((nd, nd), parts)
+    return shear, bend[0] if bending else None, quad

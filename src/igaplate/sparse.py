@@ -24,9 +24,10 @@ def _inf_norm(a: sp.csr_matrix | sp.csc_matrix) -> float:
     """
     if a.nnz == 0:
         return 0.0
-    n = a.shape[0]
-    rows = a.indices if a.format == "csc" else np.repeat(np.arange(n), np.diff(a.indptr))
-    return float(np.bincount(rows, weights=np.abs(a.data), minlength=n).max())
+    if a.format == "csc":
+        return float(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max())
+    starts = a.indptr[:-1][np.diff(a.indptr) > 0]  # rows with entries, each summed in order
+    return float(np.add.reduceat(np.abs(a.data), starts).max())
 
 
 def _residual_and_bound(a, x, b, tol: float, norm_a: float) -> tuple[float, float]:
@@ -49,11 +50,11 @@ class DirectSolver:
         self.a = sp.csc_matrix(a, dtype=float)
         if self.a.shape[0] != self.a.shape[1]:
             raise SingularMatrix("matrix must be square")
+        self.norm_a = _inf_norm(self.a)  # before the factor: its scratch is freed by then
         try:
             self._lu = spla.splu(self.a)
         except (RuntimeError, ValueError) as exc:
             raise SingularMatrix(str(exc)) from exc
-        self.norm_a = _inf_norm(self.a)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)

@@ -366,6 +366,63 @@ def test_failed_cell_is_recorded_and_study_continues():
     assert "error:" in csv
 
 
+def _recorded_study(monkeypatch, config):
+    """Run a study; return its records, the solutions given to l2_error and the prepare calls."""
+    import importlib
+
+    from igaplate import bench
+
+    condense = importlib.import_module("igaplate.condense")
+    prepared, evaluated = [], []
+    prepare, l2 = condense.prepare_problem, bench.l2_error
+
+    def counting_prepare(assembly, cfg):
+        prepared.append((cfg.variant, cfg.degree, cfg.level))
+        return prepare(assembly, cfg)
+
+    def recording_l2(solution, problem, reference=None):
+        evaluated.append(solution)
+        return l2(solution, problem, reference)
+
+    monkeypatch.setattr(condense, "prepare_problem", counting_prepare)
+    monkeypatch.setattr(bench, "l2_error", recording_l2)
+    records = run_convergence_study(config)
+    monkeypatch.undo()
+    return records, evaluated, prepared
+
+
+_THREE_THICKNESSES = StudyConfig(
+    geometry="mp_various",
+    variants=("mxd", "ead"),
+    degrees=(2,),
+    levels=(1, 2),
+    thicknesses=(1.0, 1e-2, 1e-4),
+)
+
+
+def test_study_builds_each_level_once_for_all_thicknesses(monkeypatch):
+    _, _, prepared = _recorded_study(monkeypatch, _THREE_THICKNESSES)
+    assert prepared == [(v, 2, level) for v in ("mxd", "ead") for level in (1, 2)]
+
+
+def test_study_takes_l2_errors_in_record_order(monkeypatch):
+    records, evaluated, _ = _recorded_study(monkeypatch, _THREE_THICKNESSES)
+    assert len(records) == 12 and not any(r.error for r in records)
+    order = [(s.config.variant, s.config.degree, s.config.thickness, s.config.level) for s in evaluated]
+    assert order == [(r.variant, r.p, r.t, r.level) for r in records]
+
+
+def test_study_cells_equal_single_solves_byte_for_byte(monkeypatch):
+    records, evaluated, _ = _recorded_study(monkeypatch, _THREE_THICKNESSES)
+    assembly = geometry_catalog("mp_various")
+    for record, solution in zip(records, evaluated):
+        problem = BenchmarkProblem("mp_various", thickness=record.t)
+        single, err = run_single(assembly, problem, solution.config)
+        assert np.float64(err).tobytes() == np.float64(record.l2_error).tobytes()
+        assert single.d_full.tobytes() == solution.d_full.tobytes()
+        assert single.diagnostics["nnz_solved"] == record.nnz_condensed
+
+
 def test_least_squares_rate():
     errs = [1.0, 0.25, 0.0625, 0.015625]
     assert abs(least_squares_rate(errs, last=3) - 2.0) < 1e-12

@@ -410,8 +410,8 @@ def test_condensed_sparser_than_mixed():
 
 
 def test_stored_entry_count_does_not_depend_on_thickness():
-    # nnz_solved counts stored entries; thickness moves it only through the
-    # few element sums that round-off cancels to exactly 0.0 (not stored)
+    # nnz_solved counts stored entries; every thickness scales the blocks of
+    # one thickness-free build, so all of them store the same pattern
     pa = geometry_catalog("undistorted")
     counts = {
         t: solve_variant(
@@ -419,27 +419,56 @@ def test_stored_entry_count_does_not_depend_on_thickness():
         ).diagnostics["nnz_solved"]
         for t in (1e-2, 1e-8)
     }
-    assert abs(counts[1e-2] - counts[1e-8]) <= 1e-3 * counts[1e-2]
+    assert counts[1e-2] == counts[1e-8]
+
+
+def test_mxd_keeps_the_thin_plate_limit():
+    # the nondimensional saddle system: at t=1e-8 the error must match the
+    # t=1e-6 one (1.7649e-5), not drift with the t^-3 scale of the blocks
+    pa = geometry_catalog("undistorted")
+    errs = {}
+    for t in (1e-6, 1e-8):
+        prob = BenchmarkProblem("undistorted", thickness=t)
+        sol = solve_variant(pa, SolveConfig(variant="mxd", degree=2, level=3, thickness=t), load=prob.load)
+        errs[t] = l2_error(sol, prob)
+    assert abs(errs[1e-8] - errs[1e-6]) <= 0.01 * errs[1e-6]
+
+
+def test_parts_solve_only_their_own_discretisation_until_released():
+    from igaplate.condense import build_parts, solve_parts
+
+    pa = geometry_catalog("undistorted")
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    cfg = SolveConfig(variant="ead", degree=2, level=1, thickness=1.0)
+    parts = build_parts(pa, cfg)
+    with pytest.raises(ValueError, match="another discretisation"):
+        solve_parts(parts, SolveConfig(variant="ead", degree=2, level=2, thickness=1.0), load)
+    thin = SolveConfig(variant="ead", degree=2, level=1, thickness=1e-2)
+    kept = solve_parts(parts, thin, load)
+    last = solve_parts(parts, thin, load, last=True)
+    assert kept.d_full.tobytes() == last.d_full.tobytes()
+    assert [s.tobytes() for s in kept.shear[0]] == [s.tobytes() for s in last.shear[0]]
+    with pytest.raises(ValueError, match="released"):
+        solve_parts(parts, cfg, load)
 
 
 # solve path of large condensed systems ---------------------------------------------
 
 
 def _condensed(pa, cfg, load):
-    from igaplate.condense import assemble_mixed
+    """(ctx, material, condensed system) of one solve, through the solve's own build."""
+    from types import SimpleNamespace
 
-    ctx = prepare_problem(pa, cfg)
+    from igaplate.condense import build_parts
+
+    parts = build_parts(pa, cfg)
     mat = cfg.make_material()
-    system = assemble_mixed(ctx, mat, load)
-    if cfg.variant in ("ad", "ead"):
-        system = pg_transform(system, *build_transforms(ctx))
-    return ctx, mat, condense(system, lumped=True)
+    k_cond, f_d = parts.system_at(mat, load)
+    return parts.ctx, mat, SimpleNamespace(k_cond=k_cond, f_d=f_d, parts=parts)
 
 
 def test_large_condensed_system_is_solved_by_gmres_on_the_primal_factor(monkeypatch):
     import scipy.sparse.linalg as spla
-
-    from igaplate.condense import _primal_free
 
     pa = geometry_catalog("c0_single")
     load = lambda x, y: np.ones_like(x)  # noqa: E731
@@ -461,7 +490,7 @@ def test_large_condensed_system_is_solved_by_gmres_on_the_primal_factor(monkeypa
         assert sol.diagnostics["solver"] == "gmres"
         assert 0 < sol.diagnostics["iterations"] < 60
         ctx, mat, cond = _condensed(pa, cfg, load)
-        primal = _primal_free(ctx, mat)[0]
+        primal = cond.parts.primal(mat)
         assert len(factored) == 1
         assert factored[0].shape == primal.shape and (factored[0] != primal).nnz == 0
         assert (factored[0] != cond.k_cond).nnz > 0

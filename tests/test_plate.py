@@ -27,7 +27,8 @@ def unit_patch():
 def _one_patch_primal(disc, mat, load=None):
     """Primal (K, f, boundary_d) of one patch in its own d numbering."""
     pa = build_dof_map([disc.spaces.patch])
-    return assemble_primal_multipatch(pa, [disc], mat, load)
+    shear, bending, quad, boundary = assemble_primal_multipatch(pa, [disc], mat)
+    return bending + shear, quad.vector(load), boundary
 
 
 # material ----------------------------------------------------------------------

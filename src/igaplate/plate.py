@@ -87,7 +87,10 @@ class UnitMaterial:
     """
 
     nu: float
-    kgt: float = 1.0
+
+    @property
+    def kgt(self) -> float:
+        return 1.0
 
     @property
     def d_bend(self) -> np.ndarray:

@@ -434,22 +434,88 @@ def test_mxd_keeps_the_thin_plate_limit():
     assert abs(errs[1e-8] - errs[1e-6]) <= 0.01 * errs[1e-6]
 
 
-def test_parts_solve_only_their_own_discretisation_until_released():
+# c0_single ead p3 L3 at t=1e-2 passes both Krylov gates (1083 DOFs, slenderness 137),
+# so its released parts must raise before the primal build, not after it
+@pytest.mark.parametrize(
+    ("geometry", "p", "level", "solver"), [("undistorted", 2, 1, "lu"), ("c0_single", 3, 3, "gmres")]
+)
+def test_parts_solve_only_their_own_discretisation_until_released(monkeypatch, geometry, p, level, solver):
     from igaplate.condense import build_parts, solve_parts
 
-    pa = geometry_catalog("undistorted")
+    pa = geometry_catalog(geometry)
     load = lambda x, y: np.ones_like(x)  # noqa: E731
-    cfg = SolveConfig(variant="ead", degree=2, level=1, thickness=1.0)
+    _, calls = _count_primal_builds(monkeypatch)
+    cfg = SolveConfig(variant="ead", degree=p, level=level, thickness=1.0)
     parts = build_parts(pa, cfg)
     with pytest.raises(ValueError, match="another discretisation"):
-        solve_parts(parts, SolveConfig(variant="ead", degree=2, level=2, thickness=1.0), load)
-    thin = SolveConfig(variant="ead", degree=2, level=1, thickness=1e-2)
+        solve_parts(parts, SolveConfig(variant="ead", degree=p, level=level + 1, thickness=1.0), load)
+    thin = SolveConfig(variant="ead", degree=p, level=level, thickness=1e-2)
     kept = solve_parts(parts, thin, load)
     last = solve_parts(parts, thin, load, last=True)
+    assert kept.diagnostics["solver"] == last.diagnostics["solver"] == solver
     assert kept.d_full.tobytes() == last.d_full.tobytes()
     assert [s.tobytes() for s in kept.shear[0]] == [s.tobytes() for s in last.shear[0]]
+    built = list(calls)
     with pytest.raises(ValueError, match="released"):
-        solve_parts(parts, cfg, load)
+        solve_parts(parts, thin, load)
+    assert calls == built == ([1] if solver == "gmres" else [])
+
+
+@pytest.mark.parametrize("geometry", ["nurbs_distorted", "mp_various"])
+@pytest.mark.parametrize("variant", ["std", "mxd", "lmp", "ad", "ead"])
+def test_nondimensional_system_is_the_dimensional_one_divided_by_d(geometry, variant):
+    # the parts are built with D = kGt = 1; each thickness's system must be
+    # the dimensional system with its d rows divided by D (mxd: and its shear
+    # unknowns divided by D), and its answers those of the dimensional solve
+    from igaplate.condense import assemble_mixed, build_parts, solve_parts
+    from igaplate.multipatch import assemble_primal_multipatch
+    from igaplate.plate import free_dofs
+
+    load = lambda x, y: 1.0 + x * y  # noqa: E731
+    cfg = SolveConfig(variant=variant, degree=2, level=1, thickness=0.1)
+    mat = cfg.make_material()
+    d = mat.bending_stiffness
+    parts = build_parts(geometry_catalog(geometry), cfg)
+    ctx = parts.ctx
+    matrix, rhs = parts.system_at(mat, load)
+
+    shear, bend, _, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, mat)
+    free = free_dofs(shear.shape[0], boundary)
+    primal = (shear + bend)[np.ix_(free, free)]
+    system = assemble_mixed(ctx, mat, load)
+    n = system.nd
+    cond = None
+    if variant == "std":
+        dim, dim_rhs = primal, system.f_d
+    elif variant == "mxd":
+        dim, dim_rhs = system.monolithic()
+    else:
+        if variant in ("ad", "ead"):
+            system = pg_transform(system, *build_transforms(ctx))
+        cond = condense(system, lumped=True)
+        dim, dim_rhs = cond.k_cond, cond.f_d
+        # the primal preconditioner's bending half is the condensed K_dd
+        assert np.abs(d * parts.primal(mat) - primal).max() <= 1e-13 * np.abs(primal).max()
+    # row scale 1/D on the d rows; mxd: column scale D on the shear unknowns
+    # (its galerkin shear rows are thickness-free)
+    rows = np.r_[np.full(n, 1.0 / d), np.ones(dim.shape[0] - n)]
+    cols = np.r_[np.ones(n), np.full(dim.shape[0] - n, d)]
+    ref = sp.diags(rows) @ dim @ sp.diags(cols)
+    assert matrix.shape == ref.shape
+    assert np.abs(matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(rhs - rows * dim_rhs).max() <= 1e-13 * np.abs(dim_rhs / d).max()
+
+    sol = solve_parts(parts, cfg, load)
+    x = solve_direct(dim, dim_rhs)
+    d_ref, s_ref, s_sol = x[:n], x[n:], np.zeros(0)
+    if variant == "mxd":
+        s_sol = np.concatenate([s1 for s1, _ in sol.shear] + [s2 for _, s2 in sol.shear])
+    elif cond is not None:
+        s_ref = np.concatenate([s for pair in recover_shear(cond, d_ref) for s in pair])
+        s_sol = np.concatenate([s for pair in sol.shear for s in pair])
+    assert np.abs(sol.d_full[sol.free_d] - d_ref).max() <= 1e-10 * np.abs(d_ref).max()
+    if len(s_ref):
+        assert np.abs(s_sol - s_ref).max() <= 1e-10 * np.abs(s_ref).max()
 
 
 # solve path of large condensed systems ---------------------------------------------

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .condense import SolveConfig, VariantSolution, build_parts, solve_parts, solve_variant
+from .condense import SolveConfig, VariantSolution, solve_thicknesses, solve_variant
 from .multipatch import PatchAssembly, build_dof_map
-from .plate import PatchDiscretization, material
+from .plate import material
 from .splines import ControlNet, DecreasingKnots, SplineError, SurfacePatch, validate_knot_vector
 
 
@@ -105,8 +105,7 @@ def l2_error(solution: VariantSolution, problem: BenchmarkProblem, reference=Non
     """Global L2 deflection error by element-wise Gauss quadrature, (p+3)^2 points."""
     ref = reference if reference is not None else problem.reference_w
     total = 0.0
-    for pidx, spaces in enumerate(solution.ctx.spaces):
-        disc = PatchDiscretization(spaces, nq=max(spaces.degrees) + 3)
+    for pidx, disc in enumerate(solution.ctx.error_discs):
         wc = solution.patch_w_coeffs(pidx)
         for eu, ev in disc.chunks():
             geo = disc.geometry(eu, ev)
@@ -568,37 +567,29 @@ def run_single(
 def run_convergence_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """Run all (variant, p, t, level) cells of one geometry; write CSV if asked.
 
-    The thickness-free parts of each (variant, p, level) are built once and
-    solve every thickness; a level's parts are released before the next
-    level is built.  The L2 errors are taken afterwards, cell by cell in
-    record order.
+    Each (variant, p, level) is solved at every thickness by one
+    solve_thicknesses call.  The L2 errors are taken afterwards, cell by
+    cell in record order.
     """
     assembly = load_geometry(config.geometry)
     spans = _coarse_spans(assembly)
+    loads = [BenchmarkProblem(geometry=config.geometry, thickness=t).load for t in config.thicknesses]
     records: list[ConvergenceRecord] = []
     for variant in config.variants:
         for p in config.degrees:
             solved = {}  # (t, level) -> solution, or the name of the exception it raised
             for level in config.levels:
-                parts = None
-                for i, t in enumerate(config.thicknesses):
-                    cfg = SolveConfig(
-                        variant=variant,
-                        degree=p,
-                        level=level,
-                        thickness=t,
-                        shear_weighting=config.shear_weighting,
-                        continuity_reduction=config.continuity_reduction,
-                    )
-                    load = BenchmarkProblem(geometry=config.geometry, thickness=t).load
-                    try:
-                        if parts is None:
-                            parts = build_parts(assembly, cfg)
-                        last = i == len(config.thicknesses) - 1
-                        solved[t, level] = solve_parts(parts, cfg, load, last=last)
-                    except Exception as exc:  # record and continue
-                        solved[t, level] = type(exc).__name__
-                del parts
+                cfg = SolveConfig(
+                    variant=variant,
+                    degree=p,
+                    level=level,
+                    thickness=math.nan,  # each thickness is set by solve_thicknesses
+                    shear_weighting=config.shear_weighting,
+                    continuity_reduction=config.continuity_reduction,
+                )
+                results = solve_thicknesses(assembly, cfg, config.thicknesses, loads)
+                for t, sol in zip(config.thicknesses, results):
+                    solved[t, level] = sol if isinstance(sol, VariantSolution) else type(sol).__name__
             for t in config.thicknesses:
                 problem = BenchmarkProblem(geometry=config.geometry, thickness=t)
                 prev_err = None

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,7 +112,12 @@ class ProblemContext:
     refined: PatchAssembly
     spaces: list
     discs: list
-    config: SolveConfig  # only its thickness-free fields are read (see _discretisation)
+    config: SolveConfig  # only its thickness-free fields are read
+
+    @cached_property
+    def error_discs(self) -> list:
+        """Per-patch discretisations on (p+3)^2 Gauss points per element, for error norms."""
+        return [PatchDiscretization(s, nq=max(s.degrees) + 3) for s in self.spaces]
 
 
 def prepare_problem(assembly: PatchAssembly | SurfacePatch, config: SolveConfig) -> ProblemContext:
@@ -380,12 +386,6 @@ def mesh_slenderness(ctx: ProblemContext, mat) -> float:
     return float(_ratio(mat) * h**2)
 
 
-def _discretisation(config: SolveConfig) -> tuple:
-    """The fields of a config that thickness-free parts depend on."""
-    c = config
-    return (c.variant, c.degree, c.level, c.shear_weighting, c.reduction, c.nu)
-
-
 def _primal_parts(ctx: ProblemContext, bending: bool = True) -> tuple:
     """Primal shear-penalty and bending parts on the free d DOFs, load quadrature, free DOFs.
 
@@ -412,11 +412,10 @@ class ThicknessFreeParts:
 
     ctx: ProblemContext
     free: np.ndarray  # free d DOFs
-    quadrature: LoadQuadrature | None  # None once released
+    quadrature: LoadQuadrature
     system: MixedSystem | None = None  # mxd: the saddle blocks
     cond: CondensedSystem | None = None  # lmp/ad/ead: bending and shear parts
     primal_parts: tuple | None = None  # (bending, shear penalty) on the free DOFs
-    build_s: float = 0.0  # charged to the first solve attempted from these parts
 
     def primal(self, mat) -> sp.csc_matrix:
         """Primal matrix of mat divided by D on the free d DOFs, bending + (kGt/D) shear.
@@ -426,7 +425,6 @@ class ThicknessFreeParts:
         bending blocks summed in the same order, so only the shear-penalty
         part is assembled for it.
         """
-        self._check_unreleased()
         if self.primal_parts is None:
             shear = _primal_parts(self.ctx, bending=False)[0]
             self.primal_parts = (self.cond.k_dd, shear)
@@ -442,7 +440,6 @@ class ThicknessFreeParts:
         shear unknowns scaled by 1/D, so the shear-shear blocks carry
         D / (kappa*G*t) and the shear rows keep their right-hand side of 0.
         """
-        self._check_unreleased()
         d = mat.bending_stiffness
         f = self.quadrature.vector(load)[self.free] / d
         if self.system is not None:
@@ -457,16 +454,6 @@ class ThicknessFreeParts:
             return self.cond.matrix(_ratio(mat)), f
         return self.primal(mat), f
 
-    def _check_unreleased(self) -> None:
-        if self.quadrature is None:
-            raise ValueError("these parts were released by the last thickness they solved")
-
-    def release(self) -> None:
-        """Drop the matrices: the parts still recover shear but solve no other thickness."""
-        self.quadrature = self.system = self.primal_parts = None
-        if self.cond is not None:
-            self.cond.k_dd = self.cond.k_shear = None
-
 
 def build_parts(assembly, config: SolveConfig) -> ThicknessFreeParts:
     """Refine, assemble, eliminate the boundary, transform and condense once.
@@ -475,7 +462,6 @@ def build_parts(assembly, config: SolveConfig) -> ThicknessFreeParts:
     runs with unit material scalars and no load, and keeps the load
     quadrature for the solves.
     """
-    t0 = time.perf_counter()
     ctx = prepare_problem(assembly, config)
     if config.variant == "std":
         shear, bending, quad, free = _primal_parts(ctx)
@@ -489,18 +475,17 @@ def build_parts(assembly, config: SolveConfig) -> ThicknessFreeParts:
             if config.variant in ("ad", "ead"):
                 system = pg_transform(system, *build_transforms(ctx))
             parts.cond = condense(system, lumped=True)
-    parts.build_s = time.perf_counter() - t0
     return parts
 
 
-def solve_parts(
-    parts: ThicknessFreeParts, config: SolveConfig, load=None, last: bool = False
-) -> VariantSolution:
-    """Solve one thickness from parts built for the same discretisation.
+def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list:
+    """Solve one discretisation at every thickness from one thickness-free build.
 
-    With `last`, the parts' matrices are released once this thickness's
-    system is formed, so they do not share the memory peak of its
-    factorisation; the parts then solve no other thickness.
+    Returns, per thickness, its VariantSolution or the exception its solve
+    raised; an exception of the build is returned for every thickness.  The
+    build time is charged to the first thickness's assembly_s.  Once the
+    last thickness's system is formed, the parts' matrices are dropped, so
+    they do not share the memory peak of its factorisation.
 
     All variants share one factorisation and one solve of the
     nondimensional system.  A condensed system with at least
@@ -510,87 +495,102 @@ def solve_parts(
     same DOFs; if that answer misses the Krylov gates, the condensed matrix
     is factorised directly as for every other system.
     """
-    if _discretisation(config) != _discretisation(parts.ctx.config):
-        raise ValueError("the parts were built for another discretisation")
-    mat = config.make_material()
     t0 = time.perf_counter()
-    build_s, parts.build_s = parts.build_s, 0.0
+    try:
+        parts = build_parts(assembly, config)
+    except Exception as exc:
+        return [exc] * len(thicknesses)
     ctx, free = parts.ctx, parts.free
-    diagnostics: dict = {"variant": config.variant}
-    primal = None
-    if parts.cond is not None:
-        diagnostics["condense_mode"] = parts.cond.mode
-        if (
-            not config.estimate_condition
-            and len(free) >= GMRES_MIN_DOFS
-            and mesh_slenderness(ctx, mat) <= GMRES_MAX_SLENDERNESS
-        ):
-            primal = parts.primal(mat)  # before the matrix: a first build peaks in memory
-    matrix, rhs = parts.system_at(mat, load)
-    if last:
-        parts.release()
-
-    t1 = time.perf_counter()
-    x, iterations = None, None
-    if primal is not None:
-        solver = KrylovSolver(matrix, primal)
-        del primal
-        t2 = time.perf_counter()
-        x = solver.solve(rhs)
-        iterations = solver.iterations
-    if x is None:
-        solver = None  # a rejected Krylov answer: free the primal factor first
-        solver = DirectSolver(matrix)
-        t2 = time.perf_counter()
-        x = solver.solve(rhs)
-    t3 = time.perf_counter()
-
-    if config.variant == "mxd":
-        # x holds d, then S1 of every patch, then S2 of every patch, all over D
-        sizes = [len(free)] + [s.s1.ndof for s in ctx.spaces] + [s.s2.ndof for s in ctx.spaces]
-        d_free, *scaled = np.split(x, np.cumsum(sizes)[:-1])
-        shear = [mat.bending_stiffness * s for s in scaled]
-        shear = list(zip(shear[: len(ctx.spaces)], shear[len(ctx.spaces) :]))
-    elif parts.cond is not None:
-        d_free, shear = x, recover_shear(parts.cond, mat.kgt * x)
-    else:
-        d_free, shear = x, None
-
+    # shear recovery and the diagnostics read only a condensed system's X_a
+    cond = None if parts.cond is None else replace(parts.cond, k_dd=None, k_shear=None)
     ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
-    nnz, band = nnz_and_bandwidth(matrix)
-    diagnostics.update(
-        {
-            "n_dof_primal": int(len(free)),
-            "n_dof_mixed": int(len(free) + ns_total),
-            "n_dof_solved": int(matrix.shape[0]),
-            "nnz_solved": nnz,
-            "bandwidth": band,
-            "assembly_s": build_s + t1 - t0,
-            "factor_s": t2 - t1,
-            "solve_s": t3 - t2,
-            "lump_dev": None if parts.cond is None else parts.cond.lump_dev,
-            "solver": "gmres" if isinstance(solver, KrylovSolver) else "lu",
-            "iterations": iterations,
-        }
-    )
-    if config.estimate_condition:
-        diagnostics["cond_est"] = solver.condition_estimate()
+    out = []
+    for i, (t, load) in enumerate(zip(thicknesses, loads)):
+        if i:
+            t0 = time.perf_counter()
+        try:
+            cfg = replace(config, thickness=t)
+            mat = cfg.make_material()
+            diagnostics: dict = {"variant": cfg.variant}
+            primal = None
+            if cond is not None:
+                diagnostics["condense_mode"] = cond.mode
+                if (
+                    not cfg.estimate_condition
+                    and len(free) >= GMRES_MIN_DOFS
+                    and mesh_slenderness(ctx, mat) <= GMRES_MAX_SLENDERNESS
+                ):
+                    primal = parts.primal(mat)  # before the matrix: a first build peaks in memory
+            matrix, rhs = parts.system_at(mat, load)
+            if i == len(thicknesses) - 1:
+                del parts
 
-    nd_full = 3 * ctx.refined.n_points
-    return VariantSolution(
-        config=config,
-        ctx=ctx,
-        d_full=expand_displacement(nd_full, free, d_free),
-        free_d=free,
-        shear=shear,
-        diagnostics=diagnostics,
-    )
+            t1 = time.perf_counter()
+            x, iterations = None, None
+            if primal is not None:
+                solver = KrylovSolver(matrix, primal)
+                del primal
+                t2 = time.perf_counter()
+                x = solver.solve(rhs)
+                iterations = solver.iterations
+            if x is None:
+                solver = None  # a rejected Krylov answer: free the primal factor first
+                solver = DirectSolver(matrix)
+                t2 = time.perf_counter()
+                x = solver.solve(rhs)
+            t3 = time.perf_counter()
+
+            if cfg.variant == "mxd":
+                # x holds d, then S1 of every patch, then S2 of every patch, all over D
+                sizes = [len(free)] + [s.s1.ndof for s in ctx.spaces] + [s.s2.ndof for s in ctx.spaces]
+                d_free, *scaled = np.split(x, np.cumsum(sizes)[:-1])
+                shear = [mat.bending_stiffness * s for s in scaled]
+                shear = list(zip(shear[: len(ctx.spaces)], shear[len(ctx.spaces) :]))
+            elif cond is not None:
+                d_free, shear = x, recover_shear(cond, mat.kgt * x)
+            else:
+                d_free, shear = x, None
+
+            nnz, band = nnz_and_bandwidth(matrix)
+            diagnostics.update(
+                {
+                    "n_dof_primal": int(len(free)),
+                    "n_dof_mixed": int(len(free) + ns_total),
+                    "n_dof_solved": int(matrix.shape[0]),
+                    "nnz_solved": nnz,
+                    "bandwidth": band,
+                    "assembly_s": t1 - t0,
+                    "factor_s": t2 - t1,
+                    "solve_s": t3 - t2,
+                    "lump_dev": None if cond is None else cond.lump_dev,
+                    "solver": "gmres" if isinstance(solver, KrylovSolver) else "lu",
+                    "iterations": iterations,
+                }
+            )
+            if cfg.estimate_condition:
+                diagnostics["cond_est"] = solver.condition_estimate()
+            out.append(
+                VariantSolution(
+                    config=cfg,
+                    ctx=ctx,
+                    d_full=expand_displacement(3 * ctx.refined.n_points, free, d_free),
+                    free_d=free,
+                    shear=shear,
+                    diagnostics=diagnostics,
+                )
+            )
+        except Exception as exc:
+            out.append(exc)
+        matrix = primal = solver = None  # before the next thickness forms its own
+    return out
 
 
 def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:
     """Build spaces, assemble, and solve with the requested formulation.
 
-    The thickness-free parts are built for this one solve; see build_parts
-    and solve_parts.
+    The one-thickness case of solve_thicknesses; raises what it returns.
     """
-    return solve_parts(build_parts(assembly, config), config, load, last=True)
+    (result,) = solve_thicknesses(assembly, config, [config.thickness], [load])
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -631,33 +631,23 @@ def _triplets(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, n_cols: in
 
 
 def _csr(shape, parts: list) -> sp.csr_matrix:
-    """One CSR build from (key, value) parts; see _csr_shared."""
-    (matrix,) = _csr_shared(shape, parts)
-    return matrix
+    """One CSR build from (key, value) parts, with one sort.
 
-
-def _csr_shared(shape, parts: list) -> list:
-    """CSR matrices on one pattern from (key, values, values, ...) parts, with one sort.
-
-    Every part holds one key array and one value array per matrix.  The
-    parts are packed into one key array and one value array per matrix, and
-    each part is released from `parts` once copied.  A stable sort on the
-    key keeps each entry's contributions in the order the elements came, so
-    the sums do not depend on CHUNK.  An entry is stored where any of the
-    matrices has a sum that is not exactly zero (sums that cancel on affine
-    patches are dropped), so all matrices share one pattern.  Keys and the
-    sort order are held in 32 bits where they fit, and the value arrays
-    are summed and released one at a time, to bound the peak memory.
+    The parts are packed into one key array and one value array, and each
+    part is released from `parts` once copied.  A stable sort on the key
+    keeps each entry's contributions in the order the elements came, so the
+    sums do not depend on CHUNK.  Sums that are exactly zero (they cancel
+    on affine patches) are not stored.  Keys and the sort order are held in
+    32 bits where they fit, to bound the peak memory.
     """
-    n = sum(len(part[0]) for part in parts)
+    n = sum(len(k) for k, _ in parts)
     small = np.iinfo(np.int32).max
     key = np.empty(n, dtype=np.int32 if shape[0] * shape[1] <= small else np.int64)
-    vals = [np.empty(n) for _ in parts[0][1:]]
+    val = np.empty(n)
     start = 0
-    for i, (k, *v) in enumerate(parts):
+    for i, (k, v) in enumerate(parts):
         key[start : start + len(k)] = k
-        for row, part in zip(vals, v):
-            row[start : start + len(k)] = part
+        val[start : start + len(k)] = v
         start += len(k)
         parts[i] = None
     order = np.argsort(key, kind="stable")
@@ -665,15 +655,12 @@ def _csr_shared(shape, parts: list) -> list:
         order = order.astype(np.int32)
     key = key[order]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    sums = []
-    for i in range(len(vals)):
-        sums.append(np.add.reduceat(vals[i][order], first))
-        vals[i] = None
-    del order
-    keep = np.logical_or.reduce([s != 0.0 for s in sums])
+    sums = np.add.reduceat(val[order], first)
+    del val, order
+    keep = sums != 0.0
     key = key[first][keep]
     indptr = np.searchsorted(key, np.arange(shape[0] + 1, dtype=np.int64) * shape[1])
-    return [sp.csr_matrix((s[keep], key % shape[1], indptr), shape=shape) for s in sums]
+    return sp.csr_matrix((sums[keep], key % shape[1], indptr), shape=shape)
 
 
 def assemble_patches(
@@ -802,10 +789,11 @@ def assemble_primal_patches(
 
     Returns the kappa*G*t shear-penalty part, the bending part (None unless
     asked for) and the load quadrature; the primal matrix is the sum of the
-    two parts.  Both come from one pass of the batched kernel and one sort,
-    and share one pattern.  See assemble_patches for d_maps.
+    two parts.  Both come from one pass of the batched kernel; the bending
+    part is scattered from the rotation block only, the one block where it
+    is nonzero.  See assemble_patches for d_maps.
     """
-    parts = []
+    shear, bend = [], []
     quad = LoadQuadrature(nd)
     for disc, d_map in zip(discs, d_maps):
         nw = disc.spaces.disp.ndof
@@ -822,12 +810,9 @@ def assemble_primal_patches(
             bsw = (bs * w_phys[..., None, None]).reshape(ne, 2 * nq, -1)
             k_shear = mat.kgt * (_swap(bsw) @ bs.reshape(ne, 2 * nq, -1))
             ids = d_map[d_ids(geo["gi"], nw)]
-            part = _triplets(ids, ids, k_shear, nd)
+            shear.append(_triplets(ids, ids, k_shear, nd))
             if bending:
-                k_bend = np.zeros_like(k_shear)
-                k_bend[:, nloc:, nloc:] = _bending(gx, gy, w_phys, mat.d_bend)
-                part += (k_bend.ravel(),)
-            parts.append(part)
+                rot = ids[:, nloc:]
+                bend.append(_triplets(rot, rot, _bending(gx, gy, w_phys, mat.d_bend), nd))
             quad.add(ids[:, :nloc], geo["xy"], _swap(r * w_phys[..., None]))
-    shear, *bend = _csr_shared((nd, nd), parts)
-    return shear, bend[0] if bending else None, quad
+    return _csr((nd, nd), shear), _csr((nd, nd), bend) if bending else None, quad

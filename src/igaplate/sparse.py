@@ -143,9 +143,16 @@ def solve_direct(a, b: np.ndarray) -> np.ndarray:
     return DirectSolver(a).solve(b)
 
 
-def nnz_and_bandwidth(a) -> tuple[int, int]:
-    """Stored entry count and max |row-col| over the stored entries."""
-    coo = sp.coo_matrix(a)
-    if coo.nnz == 0:
+def nnz_and_bandwidth(a: sp.csr_matrix | sp.csc_matrix) -> tuple[int, int]:
+    """Stored entry count and max |row-col| over the stored entries.
+
+    Read from the index arrays as stored, with no copy of the matrix; the
+    indices need not be sorted and are left as they are (see _inf_norm).
+    """
+    if a.nnz == 0:
         return 0, 0
-    return int(coo.nnz), int(np.abs(coo.row - coo.col).max())
+    major = np.flatnonzero(np.diff(a.indptr))  # rows (CSC: columns) with entries
+    starts = a.indptr[major]
+    lo = np.minimum.reduceat(a.indices, starts)
+    hi = np.maximum.reduceat(a.indices, starts)
+    return int(a.nnz), int(max((major - lo).max(), (hi - major).max()))

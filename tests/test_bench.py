@@ -412,8 +412,10 @@ def test_study_takes_l2_errors_in_record_order(monkeypatch):
     assert order == [(r.variant, r.p, r.t, r.level) for r in records]
 
 
-def test_study_cells_equal_single_solves_byte_for_byte(monkeypatch):
-    records, evaluated, _ = _recorded_study(monkeypatch, _THREE_THICKNESSES)
+def _assert_cells_equal_single_solves(records, evaluated):
+    """Each solved study cell equals run_single on its config, byte for byte."""
+    records = [r for r in records if not r.error]
+    assert len(records) == len(evaluated)
     assembly = geometry_catalog("mp_various")
     for record, solution in zip(records, evaluated):
         problem = BenchmarkProblem("mp_various", thickness=record.t)
@@ -421,6 +423,43 @@ def test_study_cells_equal_single_solves_byte_for_byte(monkeypatch):
         assert np.float64(err).tobytes() == np.float64(record.l2_error).tobytes()
         assert single.d_full.tobytes() == solution.d_full.tobytes()
         assert single.diagnostics["nnz_solved"] == record.nnz_condensed
+
+
+def test_study_cells_equal_single_solves_byte_for_byte(monkeypatch):
+    _assert_cells_equal_single_solves(*_recorded_study(monkeypatch, _THREE_THICKNESSES)[:2])
+
+
+def test_build_failure_is_recorded_for_every_thickness_of_its_level(monkeypatch):
+    # p=1 has no mixed spaces: each level's one build raises, and is not retried per thickness
+    config = dataclasses.replace(_THREE_THICKNESSES, variants=("ead",), degrees=(1,))
+    records, _, prepared = _recorded_study(monkeypatch, config)
+    assert [r.error for r in records] == ["DegreeTooLow"] * 6
+    assert prepared == [("ead", 1, 1), ("ead", 1, 2)]
+
+
+def test_failed_thickness_leaves_the_others_of_its_level_as_single_solves(monkeypatch):
+    config = dataclasses.replace(_THREE_THICKNESSES, thicknesses=(1.0, -1.0, 1e-2))
+    records, evaluated, _ = _recorded_study(monkeypatch, config)
+    assert [r.error for r in records if r.error] == ["InvalidMaterial"] * 4
+    assert all(r.t == -1.0 for r in records if r.error)
+    _assert_cells_equal_single_solves(records, evaluated)
+
+
+def test_l2_error_tabulates_each_level_once_for_all_thicknesses(monkeypatch):
+    from igaplate.plate import PatchDiscretization
+
+    built = []
+    init = PatchDiscretization.__init__
+
+    def counting(self, spaces, nq=None):
+        built.append(nq)
+        init(self, spaces, nq)
+
+    monkeypatch.setattr(PatchDiscretization, "__init__", counting)
+    records, _, _ = _recorded_study(monkeypatch, _THREE_THICKNESSES)
+    assert len(records) == 12 and not any(r.error for r in records)
+    # l2_error alone asks for a Gauss rule: 2 variants x 2 levels x 2 patches
+    assert len([nq for nq in built if nq is not None]) == 8
 
 
 def test_least_squares_rate():

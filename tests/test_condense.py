@@ -434,31 +434,45 @@ def test_mxd_keeps_the_thin_plate_limit():
     assert abs(errs[1e-8] - errs[1e-6]) <= 0.01 * errs[1e-6]
 
 
-# c0_single ead p3 L3 at t=1e-2 passes both Krylov gates (1083 DOFs, slenderness 137),
-# so its released parts must raise before the primal build, not after it
+# c0_single ead p3 L3 at t=1e-2 passes both Krylov gates (1083 DOFs, slenderness 137)
 @pytest.mark.parametrize(
     ("geometry", "p", "level", "solver"), [("undistorted", 2, 1, "lu"), ("c0_single", 3, 3, "gmres")]
 )
-def test_parts_solve_only_their_own_discretisation_until_released(monkeypatch, geometry, p, level, solver):
-    from igaplate.condense import build_parts, solve_parts
+def test_solve_thicknesses_shares_one_build_and_frees_it(monkeypatch, geometry, p, level, solver):
+    import weakref
 
-    pa = geometry_catalog(geometry)
-    load = lambda x, y: np.ones_like(x)  # noqa: E731
-    _, calls = _count_primal_builds(monkeypatch)
+    module, calls = _count_primal_builds(monkeypatch)
+    build, direct, krylov = module.build_parts, module.DirectSolver, module.KrylovSolver
+    built, alive = [], []
+
+    def capturing_build(assembly, config):
+        parts = build(assembly, config)
+        built.extend(weakref.ref(m) for m in (parts, parts.quadrature, parts.cond.k_dd, parts.cond.k_shear))
+        return parts
+
+    def checking(solver_class):
+        class Checked(solver_class):
+            def __init__(self, *args):
+                alive.append([ref() is not None for ref in built])
+                super().__init__(*args)
+
+        return Checked
+
+    monkeypatch.setattr(module, "build_parts", capturing_build)
+    monkeypatch.setattr(module, "DirectSolver", checking(direct))
+    monkeypatch.setattr(module, "KrylovSolver", checking(krylov))
     cfg = SolveConfig(variant="ead", degree=p, level=level, thickness=1.0)
-    parts = build_parts(pa, cfg)
-    with pytest.raises(ValueError, match="another discretisation"):
-        solve_parts(parts, SolveConfig(variant="ead", degree=p, level=level + 1, thickness=1.0), load)
-    thin = SolveConfig(variant="ead", degree=p, level=level, thickness=1e-2)
-    kept = solve_parts(parts, thin, load)
-    last = solve_parts(parts, thin, load, last=True)
-    assert kept.diagnostics["solver"] == last.diagnostics["solver"] == solver
-    assert kept.d_full.tobytes() == last.d_full.tobytes()
-    assert [s.tobytes() for s in kept.shear[0]] == [s.tobytes() for s in last.shear[0]]
-    built = list(calls)
-    with pytest.raises(ValueError, match="released"):
-        solve_parts(parts, thin, load)
-    assert calls == built == ([1] if solver == "gmres" else [])
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    first, second = module.solve_thicknesses(geometry_catalog(geometry), cfg, [1e-2, 1e-2], [load, load])
+    monkeypatch.undo()
+
+    assert first.diagnostics["solver"] == second.diagnostics["solver"] == solver
+    assert first.config.thickness == second.config.thickness == 1e-2
+    assert first.d_full.tobytes() == second.d_full.tobytes()
+    assert [s.tobytes() for s in first.shear[0]] == [s.tobytes() for s in second.shear[0]]
+    assert calls == ([1] if solver == "gmres" else [])
+    # the parts are alive while the first thickness factorises, gone for the last
+    assert alive == [[True] * 4, [False] * 4]
 
 
 @pytest.mark.parametrize("geometry", ["nurbs_distorted", "mp_various"])
@@ -467,7 +481,7 @@ def test_nondimensional_system_is_the_dimensional_one_divided_by_d(geometry, var
     # the parts are built with D = kGt = 1; each thickness's system must be
     # the dimensional system with its d rows divided by D (mxd: and its shear
     # unknowns divided by D), and its answers those of the dimensional solve
-    from igaplate.condense import assemble_mixed, build_parts, solve_parts
+    from igaplate.condense import assemble_mixed, build_parts, solve_thicknesses
     from igaplate.multipatch import assemble_primal_multipatch
     from igaplate.plate import free_dofs
 
@@ -505,7 +519,7 @@ def test_nondimensional_system_is_the_dimensional_one_divided_by_d(geometry, var
     assert np.abs(matrix - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.abs(rhs - rows * dim_rhs).max() <= 1e-13 * np.abs(dim_rhs / d).max()
 
-    sol = solve_parts(parts, cfg, load)
+    (sol,) = solve_thicknesses(geometry_catalog(geometry), cfg, [cfg.thickness], [load])
     x = solve_direct(dim, dim_rhs)
     d_ref, s_ref, s_sol = x[:n], x[n:], np.zeros(0)
     if variant == "mxd":

@@ -449,6 +449,19 @@ def test_mixed_blocks_store_no_zeros(geometry):
         assert system.k_dd[: ctx.refined.n_points].nnz == 0
 
 
+@pytest.mark.parametrize("geometry", ["undistorted", "mp_various"])
+def test_primal_parts_store_no_zeros(geometry):
+    from igaplate.condense import SolveConfig, prepare_problem
+
+    cfg = SolveConfig(variant="std", degree=3, level=1, thickness=0.1)
+    ctx = prepare_problem(geometry_catalog(geometry), cfg)
+    shear, bending, _, _ = assemble_primal_multipatch(ctx.refined, ctx.discs, cfg.make_material())
+    assert np.all(shear.data != 0.0) and np.all(bending.data != 0.0)
+    # the bending part lives on the rotations only: its w rows and columns hold no entries
+    n = ctx.refined.n_points
+    assert bending[:n].nnz == bending[:, :n].nnz == 0
+
+
 def test_chunk_size_changes_no_block(monkeypatch):
     import igaplate.plate as plate
 

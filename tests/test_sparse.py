@@ -61,12 +61,19 @@ def test_nnz_and_bandwidth_identity():
 
 def test_nnz_and_bandwidth_tridiagonal():
     a = sp.diags([np.ones(4), np.ones(5), np.ones(4)], [-1, 0, 1], format="csr")
-    assert nnz_and_bandwidth(a) == (13, 1)
+    assert nnz_and_bandwidth(a) == nnz_and_bandwidth(a.tocsc()) == (13, 1)
 
 
 def test_nnz_counts_stored_entries():
     a = sp.csr_matrix((np.array([1.0, 1e-15]), (np.array([0, 0]), np.array([0, 3]))), shape=(4, 4))
-    assert nnz_and_bandwidth(a) == (2, 3)
+    assert nnz_and_bandwidth(a) == nnz_and_bandwidth(a.tocsc()) == (2, 3)
+    # unsorted indices in both formats, with an empty row (column); they stay unsorted
+    indices, indptr = np.array([3, 0, 2, 1]), np.array([0, 2, 2, 3, 4])
+    for fmt in (sp.csr_matrix, sp.csc_matrix):
+        b = fmt((np.ones(4), indices.copy(), indptr), shape=(4, 4))
+        b.has_sorted_indices = False
+        assert nnz_and_bandwidth(b) == (4, 3)
+        assert b.indices.tolist() == indices.tolist()
 
 
 def test_dense_input_factorised_like_its_sparse_form():

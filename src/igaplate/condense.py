@@ -501,11 +501,11 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     except Exception as exc:
         return [exc] * len(thicknesses)
     ctx, free = parts.ctx, parts.free
-    # shear recovery and the diagnostics read only a condensed system's X_a
+    # shear recovery and the diagnostics need none of the condensed matrices
     cond = None if parts.cond is None else replace(parts.cond, k_dd=None, k_shear=None)
     ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
     out = []
-    for i, (t, load) in enumerate(zip(thicknesses, loads)):
+    for i, (t, load) in enumerate(zip(thicknesses, loads, strict=True)):
         if i:
             t0 = time.perf_counter()
         try:

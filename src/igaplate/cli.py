@@ -40,6 +40,7 @@ def _solve(args) -> int:
         "solve_s": d["solve_s"],
         "lump_dev": d["lump_dev"],
         "solver": d["solver"],
+        "iterations": d["iterations"],
     }
     for key, value in summary.items():
         print(f"{key} = {value}")

@@ -2,7 +2,7 @@
 
 Formulation variants:
   std  - purely displacement-based solve (bending + shear penalty)
-  mxd  - mixed saddle-point system, monolithic direct solve
+  mxd  - mixed saddle-point system, solved monolithically
   lmp  - mixed system with plain row-sum lumping of the shear blocks
   ad   - dual-transformed shear rows, lumping to the identity
   ead  - like ad but with enhanced dual transforms for limited continuity
@@ -60,15 +60,19 @@ class NonPositiveDiagonal(Exception):
 
 VARIANTS = ("std", "mxd", "lmp", "ad", "ead")
 
-# Condensed systems with at least this many free d DOFs are first solved by
-# GMRES preconditioned with the primal matrix's LU; smaller ones by LU alone.
-# Break-even measured on c1_single and nurbs_distorted (see README).
+# Mixed and condensed systems with at least this many free d DOFs are first
+# solved by GMRES preconditioned with the primal matrix's LU; smaller ones by
+# LU alone.  Break-even measured on c1_single and nurbs_distorted (see README).
 GMRES_MIN_DOFS = 1000
 # ... and only if the mesh slenderness kGt h^2 / D is at most this.  The
 # primal preconditioner locks in shear as it grows: every measured ead cell
 # up to 187 converged, every one from 380 was rejected (table in README;
 # remeasure with scripts/krylov_map.py).
 GMRES_MAX_SLENDERNESS = 250.0
+# The bound for mxd, whose saddle matrix is preconditioned by the primal
+# matrix in a block triangle (see KrylovSolver): every measured mxd cell up
+# to 61 converged, the first were rejected at 95 (table in README).
+GMRES_MAX_SLENDERNESS_MXD = 60.0
 
 
 @dataclass(frozen=True)
@@ -420,14 +424,14 @@ class ThicknessFreeParts:
     def primal(self, mat) -> sp.csc_matrix:
         """Primal matrix of mat divided by D on the free d DOFs, bending + (kGt/D) shear.
 
-        A condensed system's parts are built on first use and kept for
-        later thicknesses.  Its bending part is its own K_dd, the same
-        bending blocks summed in the same order, so only the shear-penalty
-        part is assembled for it.
+        A mixed or condensed system's parts are built on first use and kept
+        for later thicknesses.  Their bending part is the system's own K_dd,
+        the same bending blocks summed in the same order, so only the
+        shear-penalty part is assembled for it.
         """
         if self.primal_parts is None:
             shear = _primal_parts(self.ctx, bending=False)[0]
-            self.primal_parts = (self.cond.k_dd, shear)
+            self.primal_parts = ((self.cond or self.system).k_dd, shear)
         bending, shear = self.primal_parts
         return (bending + _ratio(mat) * shear).tocsc()
 
@@ -488,12 +492,18 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     they do not share the memory peak of its factorisation.
 
     All variants share one factorisation and one solve of the
-    nondimensional system.  A condensed system with at least
+    nondimensional system.  A mixed or condensed system with at least
     GMRES_MIN_DOFS free d DOFs, a mesh slenderness of at most
-    GMRES_MAX_SLENDERNESS and no condition estimate asked for is first
-    solved by GMRES preconditioned with the LU of the primal matrix on the
-    same DOFs; if that answer misses the Krylov gates, the condensed matrix
-    is factorised directly as for every other system.
+    GMRES_MAX_SLENDERNESS (mxd: GMRES_MAX_SLENDERNESS_MXD) and no condition
+    estimate asked for is first solved by GMRES preconditioned with the LU
+    of the primal matrix on the same DOFs (mxd: in a block triangle with
+    the shear block, see KrylovSolver); if that answer misses the Krylov
+    gates, the matrix is factorised directly as for every other system.
+
+    The result list is released from the frame on return: a stored
+    exception's traceback keeps this frame, so a list left in it would
+    form a reference cycle that holds every local until the cyclic
+    collector runs.
     """
     t0 = time.perf_counter()
     try:
@@ -504,85 +514,90 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     # shear recovery and the diagnostics need none of the condensed matrices
     cond = None if parts.cond is None else replace(parts.cond, k_dd=None, k_shear=None)
     ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
+    bound = GMRES_MAX_SLENDERNESS_MXD if config.variant == "mxd" else GMRES_MAX_SLENDERNESS
     out = []
-    for i, (t, load) in enumerate(zip(thicknesses, loads, strict=True)):
-        if i:
-            t0 = time.perf_counter()
-        try:
-            cfg = replace(config, thickness=t)
-            mat = cfg.make_material()
-            diagnostics: dict = {"variant": cfg.variant}
-            primal = None
-            if cond is not None:
-                diagnostics["condense_mode"] = cond.mode
+    try:
+        for i, (t, load) in enumerate(zip(thicknesses, loads, strict=True)):
+            if i:
+                t0 = time.perf_counter()
+            try:
+                cfg = replace(config, thickness=t)
+                mat = cfg.make_material()
+                diagnostics: dict = {"variant": cfg.variant}
+                primal = None
+                if cond is not None:
+                    diagnostics["condense_mode"] = cond.mode
                 if (
-                    not cfg.estimate_condition
+                    cfg.variant != "std"
+                    and not cfg.estimate_condition
                     and len(free) >= GMRES_MIN_DOFS
-                    and mesh_slenderness(ctx, mat) <= GMRES_MAX_SLENDERNESS
+                    and mesh_slenderness(ctx, mat) <= bound
                 ):
                     primal = parts.primal(mat)  # before the matrix: a first build peaks in memory
-            matrix, rhs = parts.system_at(mat, load)
-            if i == len(thicknesses) - 1:
-                del parts
+                matrix, rhs = parts.system_at(mat, load)
+                if i == len(thicknesses) - 1:
+                    del parts
 
-            t1 = time.perf_counter()
-            x, iterations = None, None
-            if primal is not None:
-                solver = KrylovSolver(matrix, primal)
-                del primal
-                t2 = time.perf_counter()
-                x = solver.solve(rhs)
-                iterations = solver.iterations
-            if x is None:
-                solver = None  # a rejected Krylov answer: free the primal factor first
-                solver = DirectSolver(matrix)
-                t2 = time.perf_counter()
-                x = solver.solve(rhs)
-            t3 = time.perf_counter()
+                t1 = time.perf_counter()
+                x, iterations = None, None
+                if primal is not None:
+                    solver = KrylovSolver(matrix, primal)
+                    del primal
+                    t2 = time.perf_counter()
+                    x = solver.solve(rhs)
+                    iterations = solver.iterations
+                if x is None:
+                    solver = None  # a rejected Krylov answer: free the primal factor first
+                    solver = DirectSolver(matrix)
+                    t2 = time.perf_counter()
+                    x = solver.solve(rhs)
+                t3 = time.perf_counter()
 
-            if cfg.variant == "mxd":
-                # x holds d, then S1 of every patch, then S2 of every patch, all over D
-                sizes = [len(free)] + [s.s1.ndof for s in ctx.spaces] + [s.s2.ndof for s in ctx.spaces]
-                d_free, *scaled = np.split(x, np.cumsum(sizes)[:-1])
-                shear = [mat.bending_stiffness * s for s in scaled]
-                shear = list(zip(shear[: len(ctx.spaces)], shear[len(ctx.spaces) :]))
-            elif cond is not None:
-                d_free, shear = x, recover_shear(cond, mat.kgt * x)
-            else:
-                d_free, shear = x, None
+                if cfg.variant == "mxd":
+                    # x holds d, then S1 of every patch, then S2 of every patch, all over D
+                    sizes = [len(free)] + [s.s1.ndof for s in ctx.spaces] + [s.s2.ndof for s in ctx.spaces]
+                    d_free, *scaled = np.split(x, np.cumsum(sizes)[:-1])
+                    shear = [mat.bending_stiffness * s for s in scaled]
+                    shear = list(zip(shear[: len(ctx.spaces)], shear[len(ctx.spaces) :]))
+                elif cond is not None:
+                    d_free, shear = x, recover_shear(cond, mat.kgt * x)
+                else:
+                    d_free, shear = x, None
 
-            nnz, band = nnz_and_bandwidth(matrix)
-            diagnostics.update(
-                {
-                    "n_dof_primal": int(len(free)),
-                    "n_dof_mixed": int(len(free) + ns_total),
-                    "n_dof_solved": int(matrix.shape[0]),
-                    "nnz_solved": nnz,
-                    "bandwidth": band,
-                    "assembly_s": t1 - t0,
-                    "factor_s": t2 - t1,
-                    "solve_s": t3 - t2,
-                    "lump_dev": None if cond is None else cond.lump_dev,
-                    "solver": "gmres" if isinstance(solver, KrylovSolver) else "lu",
-                    "iterations": iterations,
-                }
-            )
-            if cfg.estimate_condition:
-                diagnostics["cond_est"] = solver.condition_estimate()
-            out.append(
-                VariantSolution(
-                    config=cfg,
-                    ctx=ctx,
-                    d_full=expand_displacement(3 * ctx.refined.n_points, free, d_free),
-                    free_d=free,
-                    shear=shear,
-                    diagnostics=diagnostics,
+                nnz, band = nnz_and_bandwidth(matrix)
+                diagnostics.update(
+                    {
+                        "n_dof_primal": int(len(free)),
+                        "n_dof_mixed": int(len(free) + ns_total),
+                        "n_dof_solved": int(matrix.shape[0]),
+                        "nnz_solved": nnz,
+                        "bandwidth": band,
+                        "assembly_s": t1 - t0,
+                        "factor_s": t2 - t1,
+                        "solve_s": t3 - t2,
+                        "lump_dev": None if cond is None else cond.lump_dev,
+                        "solver": "gmres" if isinstance(solver, KrylovSolver) else "lu",
+                        "iterations": iterations,
+                    }
                 )
-            )
-        except Exception as exc:
-            out.append(exc)
-        matrix = primal = solver = None  # before the next thickness forms its own
-    return out
+                if cfg.estimate_condition:
+                    diagnostics["cond_est"] = solver.condition_estimate()
+                out.append(
+                    VariantSolution(
+                        config=cfg,
+                        ctx=ctx,
+                        d_full=expand_displacement(3 * ctx.refined.n_points, free, d_free),
+                        free_d=free,
+                        shear=shear,
+                        diagnostics=diagnostics,
+                    )
+                )
+            except Exception as exc:
+                out.append(exc)
+            matrix = primal = solver = None  # before the next thickness forms its own
+        return out
+    finally:
+        del out  # see above: the traceback of a stored exception keeps this frame
 
 
 def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:

@@ -88,8 +88,14 @@ class KrylovSolver:
     """GMRES on A preconditioned by the LU of a nearby matrix M.
 
     M is factorised by SuperLU in symmetric mode (minimum degree on M^T + M,
-    diagonal pivots), which suits a symmetric positive definite M.  One
-    solve runs a single cycle of at most GMRES_RESTART iterations from
+    diagonal pivots), which suits a symmetric positive definite M.  If A is
+    larger than M, A is a saddle matrix [[K, B], [B', C]] whose leading
+    block has M's size, and M stands in for its Schur complement
+    K - B C^-1 B': the preconditioner is the block upper triangle
+    [[M, B], [0, C]], with C factorised by SuperLU's default LU.  With the
+    exact Schur complement as M, GMRES converges in at most two iterations.
+
+    One solve runs a single cycle of at most GMRES_RESTART iterations from
     x0 = 0, so it is deterministic; it stops early once the preconditioned
     residual has fallen by KRYLOV_GATE.  An answer is returned only if the
     cycle stopped before its last iteration and
@@ -104,6 +110,7 @@ class KrylovSolver:
         self.a = sp.csr_matrix(a, dtype=float)
         self.norm_a = _inf_norm(self.a)
         self.iterations = 0
+        n = m.shape[0]
         try:
             self._lu = spla.splu(
                 sp.csc_matrix(m, dtype=float),
@@ -111,15 +118,26 @@ class KrylovSolver:
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
+            if n < self.a.shape[0]:
+                self._coupling = self.a[:n, n:]
+                self._lu_c = spla.splu(sp.csc_matrix(self.a[n:, n:]))
         except RuntimeError:
             self._lu = None
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        """M^-1 r, or for a saddle matrix [[M, B], [0, C]]^-1 r."""
+        n = self._lu.shape[0]
+        if n == len(r):
+            return self._lu.solve(r)
+        y = self._lu_c.solve(r[n:])
+        return np.concatenate([self._lu.solve(r[:n] - self._coupling @ y), y])
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         if self._lu is None:
             return None
         b = np.asarray(b, dtype=float)
         n = self.a.shape[0]
-        precond = spla.LinearOperator((n, n), matvec=self._lu.solve, dtype=float)
+        precond = spla.LinearOperator((n, n), matvec=self._precondition, dtype=float)
         residuals = []
         x, _ = spla.gmres(
             self.a,

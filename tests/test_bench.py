@@ -525,7 +525,15 @@ def test_cli_solve_and_convergence(tmp_path, capsys):
     summary = json.loads(out.read_text())
     assert summary["l2_error"] > 0
     assert summary["solver"] == "lu"
-    assert "solver = lu" in capsys.readouterr().out
+    assert summary["iterations"] is None  # GMRES was not tried
+    printed = capsys.readouterr().out
+    assert "solver = lu" in printed and "iterations = None" in printed
+    # a large mxd cell takes GMRES, and the summary carries its iteration count
+    args = ["solve", "--geometry", "c0_single", "--variant", "mxd", "--degree", "3", "--level", "3"]
+    assert main(args + ["--thickness", "1", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["solver"] == "gmres" and 0 < summary["iterations"] < 60
+    assert f"iterations = {summary['iterations']}" in capsys.readouterr().out
 
     cfg = tmp_path / "study.cfg"
     csv = tmp_path / "study.csv"

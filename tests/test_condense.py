@@ -641,3 +641,92 @@ def test_thin_plate_above_the_slenderness_gate_never_builds_the_primal_matrix(mo
     _, _, cond = _condensed(pa, cfg, load)
     direct = expand_displacement(sol.d_full.size, sol.free_d, solve_direct(cond.k_cond, cond.f_d))
     assert sol.d_full.tobytes() == direct.tobytes()
+
+
+def test_large_mxd_system_is_solved_by_gmres_on_the_block_triangular_preconditioner(monkeypatch):
+    from igaplate.condense import build_parts
+
+    pa = geometry_catalog("c0_single")
+    cfg = SolveConfig(variant="mxd", degree=3, level=3, thickness=1.0)
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    module, calls = _count_primal_builds(monkeypatch)
+    sol = solve_variant(pa, cfg, load=load)
+    monkeypatch.undo()
+
+    diag = sol.diagnostics
+    assert diag["solver"] == "gmres" and 0 < diag["iterations"] < 60
+    assert diag["n_dof_primal"] >= module.GMRES_MIN_DOFS
+    assert diag["n_dof_solved"] == diag["n_dof_mixed"] > diag["n_dof_primal"]
+    assert calls == [1]  # the shear-penalty pass; the bending half is the saddle's own K_dd
+    mat = cfg.make_material()
+    saddle, rhs = build_parts(pa, cfg).system_at(mat, load)
+    x = solve_direct(saddle, rhs)
+    n = diag["n_dof_primal"]
+    d_lu, s_lu = x[:n], mat.bending_stiffness * x[n:]
+    d = sol.d_full[sol.free_d]
+    s = np.concatenate([s1 for s1, _ in sol.shear] + [s2 for _, s2 in sol.shear])
+    assert np.linalg.norm(d - d_lu) <= 1e-10 * np.linalg.norm(d_lu)
+    assert np.linalg.norm(s - s_lu) <= 1e-10 * np.linalg.norm(s_lu)
+
+
+def test_mxd_above_its_slenderness_bound_never_builds_the_primal_matrix(monkeypatch):
+    from igaplate.condense import build_parts
+    from igaplate.plate import expand_displacement
+
+    pa = geometry_catalog("c0_single")
+    cfg = SolveConfig(variant="mxd", degree=3, level=3, thickness=1e-2)
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    module, calls = _count_primal_builds(monkeypatch)
+    sol = solve_variant(pa, cfg, load=load)
+    monkeypatch.undo()
+
+    # slender enough for mxd's bound, not for the condensed variants' one (137)
+    alpha = module.mesh_slenderness(sol.ctx, cfg.make_material())
+    assert module.GMRES_MAX_SLENDERNESS_MXD < alpha <= module.GMRES_MAX_SLENDERNESS
+    assert sol.diagnostics["n_dof_primal"] >= module.GMRES_MIN_DOFS
+    assert sol.diagnostics["solver"] == "lu" and sol.diagnostics["iterations"] is None
+    assert calls == []
+    saddle, rhs = build_parts(pa, cfg).system_at(cfg.make_material(), load)
+    n = sol.diagnostics["n_dof_primal"]
+    direct = expand_displacement(sol.d_full.size, sol.free_d, solve_direct(saddle, rhs)[:n])
+    assert sol.d_full.tobytes() == direct.tobytes()
+
+
+def test_a_raising_thickness_leaves_no_local_alive_once_its_result_is_dropped(monkeypatch):
+    # a stored exception's traceback keeps the solve's frame; the frame must
+    # not keep the result list, or the two form a cycle that only the cyclic
+    # collector frees, together with every local of the frame
+    import gc
+    import importlib
+    import weakref
+
+    module = importlib.import_module("igaplate.condense")
+    build = module.build_parts
+    refs = []
+
+    def capturing_build(assembly, config):
+        parts = build(assembly, config)
+        refs.extend(weakref.ref(m) for m in (parts, parts.ctx, parts.cond))
+        return parts
+
+    def failing_load(x, y):
+        raise RuntimeError("load fails")
+
+    monkeypatch.setattr(module, "build_parts", capturing_build)
+    cfg = SolveConfig(variant="ead", degree=2, level=1, thickness=1.0)
+    ok = lambda x, y: np.ones_like(x)  # noqa: E731
+    gc.disable()
+    try:
+        results = module.solve_thicknesses(geometry_catalog("undistorted"), cfg, [1.0, 1e-2], [ok, failing_load])
+        assert isinstance(results[1], RuntimeError)
+        # the traceback is intact: from the solve down to the load that raised
+        tb, names = results[1].__traceback__, []
+        while tb is not None:
+            names.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        assert names[0] == "solve_thicknesses" and names[-1] == "failing_load"
+        assert all(ref() is not None for ref in refs)
+        del results
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()

@@ -100,6 +100,28 @@ def test_krylov_solver_returns_only_answers_within_its_gate():
     assert KrylovSolver(a, sp.csr_matrix((n, n))).solve(b) is None
 
 
+def test_block_triangular_preconditioner_with_the_exact_schur_complement():
+    # a saddle [[K, B], [B2, C]] whose shear rows B2 are not B^T; with the
+    # Schur complement K - B C^-1 B2 as M, [[M, B], [0, C]] makes the
+    # preconditioned matrix I plus a nilpotent part: two iterations at most
+    rng = np.random.default_rng(5)
+    n, m = 40, 24
+    k = sp.diags([-np.ones(n - 1), 6.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+    b = sp.random(n, m, density=0.2, random_state=rng)
+    b2 = b.T + 0.1 * sp.random(m, n, density=0.1, random_state=rng)
+    c = sp.diags(1.0 + rng.random(m))
+    saddle = sp.bmat([[k, b], [b2, c]], format="csr")
+    schur = k - b @ sp.diags(1.0 / c.diagonal()) @ b2
+    rhs = rng.standard_normal(n + m)
+    solver = KrylovSolver(saddle, schur)
+    x = solver.solve(rhs)
+    assert x is not None and 0 < solver.iterations <= 2
+    assert np.linalg.norm(x - solve_direct(saddle, rhs)) <= 1e-12 * np.linalg.norm(x)
+    # K alone in the Schur complement's place is a nearby, not an exact, preconditioner
+    nearby = KrylovSolver(saddle, k)
+    assert nearby.solve(rhs) is not None and nearby.iterations > 2
+
+
 def test_solvers_take_the_inf_norm_without_reordering_the_callers_matrix():
     n = 50
     bands = [-np.ones(n - 1), 4.0 * np.ones(n), -2.0 * np.ones(n - 1)]

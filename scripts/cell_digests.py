@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Print one line per convergence-study cell that pins its answer to the byte.
+
+Runs `bench.run_convergence_study` with the given study settings and prints,
+per cell in record order: the key (variant, p, t, level), the SHA-256 of
+`d_full`, the `repr` of the L2 error, the solver and the GMRES iteration
+count.  A failed cell prints the name of its exception instead.  Two
+commits give the same answers on a study exactly when their outputs are the
+same, so a byte-identity claim is one `diff`:
+
+    PYTHONPATH=src python scripts/cell_digests.py --geometry mp_various \\
+        --variants mxd,ead --degrees 3 --levels 1,2,3 > after.txt
+    PYTHONPATH=../parent/src python scripts/cell_digests.py ... > before.txt
+    diff before.txt after.txt
+
+BLAS runs on one thread.
+"""
+
+import os
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+
+from igaplate import bench  # noqa: E402
+
+
+def _split(text: str, cast=str) -> tuple:
+    return tuple(cast(v.strip()) for v in text.split(",") if v.strip())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--geometry", required=True, help="catalog name or geometry file")
+    parser.add_argument("--variants", default="ead")
+    parser.add_argument("--degrees", default="2")
+    parser.add_argument("--levels", default="1,2,3")
+    parser.add_argument("--thicknesses", default="1,1e-2,1e-4")
+    parser.add_argument("--continuity-reduction", choices=("on", "off"), help="default: per variant")
+    parser.add_argument("--shear-weights", choices=("nurbs", "bspline"), default="nurbs")
+    args = parser.parse_args(argv)
+    config = bench.StudyConfig(
+        geometry=args.geometry,
+        variants=_split(args.variants),
+        degrees=_split(args.degrees, int),
+        levels=_split(args.levels, int),
+        thicknesses=_split(args.thicknesses, float),
+        continuity_reduction={None: None, "on": True, "off": False}[args.continuity_reduction],
+        shear_weighting=args.shear_weights,
+    )
+
+    # the study takes every solved cell's L2 error; record the solution there
+    solved = {}
+    l2_error = bench.l2_error
+
+    def recording_l2_error(solution, problem, reference=None):
+        c = solution.config
+        solved[c.variant, c.degree, c.thickness, c.level] = solution
+        return l2_error(solution, problem, reference)
+
+    bench.l2_error = recording_l2_error
+    try:
+        records = bench.run_convergence_study(config)
+    finally:
+        bench.l2_error = l2_error
+
+    for r in records:
+        key = f"{r.variant} p={r.p} t={r.t!r} L={r.level}"
+        if r.error:
+            print(key, f"error:{r.error}")
+            continue
+        sol = solved[r.variant, r.p, r.t, r.level]
+        digest = hashlib.sha256(sol.d_full.tobytes()).hexdigest()
+        d = sol.diagnostics
+        print(key, digest, repr(r.l2_error), d["solver"], d["iterations"])
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -105,14 +105,12 @@ def l2_error(solution: VariantSolution, problem: BenchmarkProblem, reference=Non
     """Global L2 deflection error by element-wise Gauss quadrature, (p+3)^2 points."""
     ref = reference if reference is not None else problem.reference_w
     total = 0.0
-    for pidx, disc in enumerate(solution.ctx.error_discs):
+    for pidx, batches in enumerate(solution.ctx.error_quadrature):
         wc = solution.patch_w_coeffs(pidx)
-        for eu, ev in disc.chunks():
-            geo = disc.geometry(eu, ev)
-            wh = (geo["r"] @ wc[geo["gi"]][..., None])[..., 0]
-            xy = geo["xy"].reshape(-1, 2)
+        for gi, r, xy, w_param, det in batches:
+            wh = (r @ wc[gi][..., None])[..., 0]
             wex = np.reshape(ref(xy[:, 0], xy[:, 1]), wh.shape)
-            total += float(np.sum((wh - wex) ** 2 * geo["w_param"] * geo["det"]))
+            total += float(np.sum((wh - wex) ** 2 * w_param * det))
     return math.sqrt(total)
 
 

@@ -73,6 +73,10 @@ GMRES_MAX_SLENDERNESS = 250.0
 # matrix in a block triangle (see KrylovSolver): every measured mxd cell up
 # to 61 converged, the first were rejected at 95 (table in README).
 GMRES_MAX_SLENDERNESS_MXD = 60.0
+# lmp never tries GMRES: plain lumping moves its condensed matrix so far from
+# the primal one that every measured cell needed all 60 iterations, even at
+# t=1 (README).
+GMRES_MAX_SLENDERNESS_LMP = -np.inf
 
 
 @dataclass(frozen=True)
@@ -119,9 +123,23 @@ class ProblemContext:
     config: SolveConfig  # only its thickness-free fields are read
 
     @cached_property
-    def error_discs(self) -> list:
-        """Per-patch discretisations on (p+3)^2 Gauss points per element, for error norms."""
-        return [PatchDiscretization(s, nq=max(s.degrees) + 3) for s in self.spaces]
+    def error_quadrature(self) -> list:
+        """Per patch, per element batch: the error norms' quadrature on (p+3)^2 Gauss points.
+
+        Each batch is (w ids, rational w basis, points (Q, 2), parametric
+        weight, Jacobian determinant); built once per level and shared by
+        the L2 errors of its thicknesses.
+        """
+        out = []
+        for spaces in self.spaces:
+            disc = PatchDiscretization(spaces, nq=max(spaces.degrees) + 3)
+            batches = []
+            for eu, ev in disc.chunks():
+                geo = disc.geometry(eu, ev, gradients=False)
+                xy = geo["xy"].reshape(-1, 2)
+                batches.append((geo["gi"], geo["r"], xy, geo["w_param"], geo["det"]))
+            out.append(batches)
+        return out
 
 
 def prepare_problem(assembly: PatchAssembly | SurfacePatch, config: SolveConfig) -> ProblemContext:
@@ -493,12 +511,16 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
 
     All variants share one factorisation and one solve of the
     nondimensional system.  A mixed or condensed system with at least
-    GMRES_MIN_DOFS free d DOFs, a mesh slenderness of at most
-    GMRES_MAX_SLENDERNESS (mxd: GMRES_MAX_SLENDERNESS_MXD) and no condition
-    estimate asked for is first solved by GMRES preconditioned with the LU
-    of the primal matrix on the same DOFs (mxd: in a block triangle with
-    the shear block, see KrylovSolver); if that answer misses the Krylov
-    gates, the matrix is factorised directly as for every other system.
+    GMRES_MIN_DOFS free d DOFs, a mesh slenderness of at most its
+    variant's bound (GMRES_MAX_SLENDERNESS; for mxd and lmp,
+    GMRES_MAX_SLENDERNESS_MXD and _LMP) and no condition estimate asked for
+    is first solved by GMRES preconditioned with the LU of the
+    primal matrix on the same DOFs (mxd: in a block triangle with the shear
+    block, see KrylovSolver); if that answer misses the Krylov gates, the
+    matrix is factorised directly as for every other system.  Every
+    thickness's matrix has the stored pattern of the one build, so the
+    column order of the first direct factorisation serves every later one
+    (see DirectSolver) and COLAMD runs once per call.
 
     The result list is released from the frame on return: a stored
     exception's traceback keeps this frame, so a list left in it would
@@ -514,7 +536,9 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     # shear recovery and the diagnostics need none of the condensed matrices
     cond = None if parts.cond is None else replace(parts.cond, k_dd=None, k_shear=None)
     ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
-    bound = GMRES_MAX_SLENDERNESS_MXD if config.variant == "mxd" else GMRES_MAX_SLENDERNESS
+    bounds = {"mxd": GMRES_MAX_SLENDERNESS_MXD, "lmp": GMRES_MAX_SLENDERNESS_LMP}
+    bound = bounds.get(config.variant, GMRES_MAX_SLENDERNESS)
+    column_order = None  # of the first direct factorisation that has a successor
     out = []
     try:
         for i, (t, load) in enumerate(zip(thicknesses, loads, strict=True)):
@@ -548,7 +572,9 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                     iterations = solver.iterations
                 if x is None:
                     solver = None  # a rejected Krylov answer: free the primal factor first
-                    solver = DirectSolver(matrix)
+                    solver = DirectSolver(matrix, column_order)
+                    if column_order is None and i < len(thicknesses) - 1:
+                        column_order = solver.column_order()
                     t2 = time.perf_counter()
                     x = solver.solve(rhs)
                 t3 = time.perf_counter()

@@ -301,8 +301,11 @@ class PatchDiscretization:
         for s in range(0, self.n_elems, CHUNK):
             yield eu[s : s + CHUNK], ev[s : s + CHUNK]
 
-    def geometry(self, eu: np.ndarray, ev: np.ndarray) -> dict:
-        """Rational basis, physical gradients, points and measures of a batch of elements."""
+    def geometry(self, eu: np.ndarray, ev: np.ndarray, gradients: bool = True) -> dict:
+        """Rational basis, physical gradients, points and measures of a batch of elements.
+
+        Without `gradients` the physical gradients 'gx' and 'gy' are left out.
+        """
         pu, pv = self.spaces.degrees
         net = self.spaces.patch.net
         ne = len(eu)
@@ -336,23 +339,15 @@ class PatchDiscretization:
                 f"non-positive Jacobian determinant in element ({eu[k]}, {ev[k]})"
             )
 
-        # push parametric gradients to physical ones via inv(J)^T
-        inv_det = 1.0 / det[..., None]
-        gx = inv_det * (x_eta[..., 1:] * r_xi - x_xi[..., 1:] * r_eta)
-        gy = inv_det * (-x_eta[..., :1] * r_xi + x_xi[..., :1] * r_eta)
-
         w_param = (self.wts_u[eu][:, :, None] * self.wts_v[ev][:, None, :]).reshape(ne, -1)
         gi = (iu * self.spaces.disp.kv_v.n + iv).reshape(ne, -1)
-        return {
-            "r": r,
-            "gx": gx,
-            "gy": gy,
-            "xy": xy,
-            "det": det,
-            "w_geom": w_q,
-            "w_param": w_param,
-            "gi": gi,
-        }
+        out = {"r": r, "xy": xy, "det": det, "w_geom": w_q, "w_param": w_param, "gi": gi}
+        if gradients:
+            # push parametric gradients to physical ones via inv(J)^T
+            inv_det = 1.0 / det[..., None]
+            out["gx"] = inv_det * (x_eta[..., 1:] * r_xi - x_xi[..., 1:] * r_eta)
+            out["gy"] = inv_det * (-x_eta[..., :1] * r_xi + x_xi[..., :1] * r_eta)
+        return out
 
     def shear_bases(self, eu: np.ndarray, ev: np.ndarray) -> tuple:
         """(n1, s1_idx, n2, s2_idx): shear bases and patch-local shear ids of a batch."""
@@ -431,7 +426,8 @@ class LoadQuadrature:
         if load is None or not self.ids:
             return np.zeros(self.nd)
         xy = np.concatenate([p.reshape(-1, 2) for p in self.xy])
-        fv = np.asarray(load(xy[:, 0], xy[:, 1]), dtype=float).ravel()
+        # a load may return one value for all points
+        fv = np.broadcast_to(np.asarray(load(xy[:, 0], xy[:, 1]), dtype=float).ravel(), len(xy))
         vals, start = [], 0
         for rw in self.rw:
             ne, _, nq = rw.shape

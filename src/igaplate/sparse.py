@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -37,6 +40,32 @@ def _residual_and_bound(a, x, b, tol: float, norm_a: float) -> tuple[float, floa
     return resid, max(bound, 1e-300)
 
 
+def _pattern_digest(a: sp.csc_matrix) -> bytes:
+    """SHA-256 of a CSC matrix's stored pattern: its indptr, then its indices."""
+    digest = hashlib.sha256(a.indptr)
+    digest.update(a.indices)
+    return digest.digest()
+
+
+@dataclass(frozen=True)
+class ColumnOrder:
+    """The fill-reducing column order of one COLAMD factorisation and the pattern it was made for.
+
+    SuperLU factorises A Pc = A[:, order] with order = argsort(perm_c): column
+    j of the factorised matrix is column order[j] of A (A[:, perm_c] is the
+    inverse permutation, and fills far more).  COLAMD reads only the stored
+    pattern, so the order serves every matrix with the same indptr and
+    indices.  The pattern is kept as its SHA-256 digest, so no index array
+    stays alive from one factorisation to the next.
+    """
+
+    pattern: bytes  # _pattern_digest of the matrix factorised
+    order: np.ndarray
+
+    def fits(self, a: sp.csc_matrix) -> bool:
+        return _pattern_digest(a) == self.pattern
+
+
 class DirectSolver:
     """Factorise once, solve many; every accepted solve meets a residual bound.
 
@@ -44,27 +73,58 @@ class DirectSolver:
     factorised by SuperLU in CSC form.  Raises SingularMatrix if
     factorisation fails or the residual bound
     ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||) is violated.
+
+    Given the ColumnOrder of an earlier factorisation whose pattern A has,
+    it factorises A[:, order] in natural order instead of running COLAMD
+    again, and maps every answer back.  SuperLU then sees the same columns
+    in the same order, so L, U, the pivots and the answers are those of a
+    fresh factorisation.  The one exception is an exact tie for the largest
+    entry of a pivot column: SuperLU breaks it in favour of the diagonal of
+    the matrix it is given, which for A[:, order] is not A's diagonal.
+    Either pivot is a largest one.
     """
 
-    def __init__(self, a):
-        self.a = sp.csc_matrix(a, dtype=float)
-        if self.a.shape[0] != self.a.shape[1]:
+    def __init__(self, a, column_order: ColumnOrder | None = None):
+        a = sp.csc_matrix(a, dtype=float)
+        if a.shape[0] != a.shape[1]:
             raise SingularMatrix("matrix must be square")
-        self.norm_a = _inf_norm(self.a)  # before the factor: its scratch is freed by then
+        if column_order is not None and not column_order.fits(a):
+            column_order = None
+        self._column_order = column_order
+        self._order = None  # set when the factor is of A[:, order]
+        if column_order is not None:
+            self._order = column_order.order
+            a = a[:, self._order]
+        self.a = a  # the matrix factorised
+        self.norm_a = _inf_norm(a)  # before the factor: its scratch is freed by then
         try:
-            self._lu = spla.splu(self.a)
+            self._lu = spla.splu(a, permc_spec="COLAMD" if self._order is None else "NATURAL")
         except (RuntimeError, ValueError) as exc:
             raise SingularMatrix(str(exc)) from exc
 
+    def column_order(self) -> ColumnOrder:
+        """The column order of this factor, for later matrices of A's pattern."""
+        if self._column_order is None:
+            self._column_order = ColumnOrder(_pattern_digest(self.a), np.argsort(self._lu.perm_c))
+        return self._column_order
+
+    def _to_columns_of_a(self, y: np.ndarray) -> np.ndarray:
+        """x with x[order] = y: an answer of A[:, order] as one of A."""
+        if self._order is None:
+            return y
+        x = np.empty_like(y)
+        x[self._order] = y
+        return x
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        x = self._lu.solve(b)
-        if not np.all(np.isfinite(x)):
+        y = self._lu.solve(b)
+        if not np.all(np.isfinite(y)):
             raise SingularMatrix("solve produced non-finite entries")
-        resid, bound = _residual_and_bound(self.a, x, b, 1e-10, self.norm_a)
+        resid, bound = _residual_and_bound(self.a, y, b, 1e-10, self.norm_a)  # A[:, order] y = A x
         if resid > bound:
             raise SingularMatrix(f"residual {resid:.3e} exceeds bound {bound:.3e}")
-        return x
+        return self._to_columns_of_a(y)
 
     def condition_estimate(self) -> float | None:
         """1-norm condition estimate of A from the factor already made.
@@ -73,11 +133,12 @@ class DirectSolver:
         ones, which draws no random numbers, so the estimate is reproducible
         and leaves the global RNG alone.  None if the estimate fails.
         """
+        order = slice(None) if self._order is None else self._order
         try:
             op = spla.LinearOperator(
                 self.a.shape,
-                matvec=self._lu.solve,
-                rmatvec=lambda b: self._lu.solve(b, trans="T"),
+                matvec=lambda b: self._to_columns_of_a(self._lu.solve(b)),
+                rmatvec=lambda b: self._lu.solve(b[order], trans="T"),
             )
             return float(spla.norm(self.a, 1) * spla.onenormest(op, t=1))
         except Exception:

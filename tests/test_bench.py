@@ -308,6 +308,27 @@ def test_interpolated_reference_gives_tiny_error():
     assert l2_error(sol, prob) < 1e-9
 
 
+def test_l2_error_is_the_sum_over_each_element_batch():
+    # the level's shared quadrature holds what geometry() gives per batch,
+    # without the gradients; the error is the same float
+    from igaplate.plate import PatchDiscretization
+
+    prob = BenchmarkProblem("mp_various", thickness=1e-2)
+    cfg = SolveConfig(variant="ead", degree=3, level=2, thickness=1e-2)
+    sol = solve_variant(geometry_catalog("mp_various"), cfg, load=prob.load)
+    total = 0.0
+    for pidx, spaces in enumerate(sol.ctx.spaces):
+        disc = PatchDiscretization(spaces, nq=max(spaces.degrees) + 3)
+        wc = sol.patch_w_coeffs(pidx)
+        for eu, ev in disc.chunks():
+            geo = disc.geometry(eu, ev)
+            wh = (geo["r"] @ wc[geo["gi"]][..., None])[..., 0]
+            xy = geo["xy"].reshape(-1, 2)
+            wex = np.reshape(prob.reference_w(xy[:, 0], xy[:, 1]), wh.shape)
+            total += float(np.sum((wh - wex) ** 2 * geo["w_param"] * geo["det"]))
+    assert l2_error(sol, prob) == math.sqrt(total)
+
+
 # study driver --------------------------------------------------------------------
 
 
@@ -661,3 +682,25 @@ def test_plot_sparsity_script_prints_every_stage(capsys):
     out = capsys.readouterr().out
     for stage in ("mixed saddle system:", "dual-transformed:", "condensed (lumped):"):
         assert stage in out
+
+
+def test_cell_digests_script_pins_each_cell(capsys, monkeypatch):
+    import hashlib
+    import importlib.util
+
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # the script sets these on import; restored after the test
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "cell_digests.py")
+    spec = importlib.util.spec_from_file_location("cell_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--geometry", "undistorted", "--variants", "ead", "--degrees", "1,2", "--levels", "1,2"]
+    assert script.main(argv + ["--thicknesses", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["ead p=1 t=1.0 L=1 error:DegreeTooLow", "ead p=1 t=1.0 L=2 error:DegreeTooLow"]
+    assert len(lines) == 4
+    problem = BenchmarkProblem("undistorted", thickness=1.0)
+    config = SolveConfig(variant="ead", degree=2, level=2, thickness=1.0)
+    sol = solve_variant(geometry_catalog("undistorted"), config, load=problem.load)
+    digest = hashlib.sha256(sol.d_full.tobytes()).hexdigest()
+    assert lines[3] == f"ead p=2 t=1.0 L=2 {digest} {l2_error(sol, problem)!r} lu None"

@@ -1,5 +1,7 @@
 """PG transform, lumping, condensation algebra and the variant dispatcher."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -579,10 +581,14 @@ def test_large_condensed_system_is_solved_by_gmres_on_the_primal_factor(monkeypa
         assert np.linalg.norm(d - d_lu) <= 1e-10 * np.linalg.norm(d_lu)
 
 
-def test_rejected_krylov_answer_falls_back_to_the_direct_solve():
+def test_rejected_krylov_answer_falls_back_to_the_direct_solve(monkeypatch):
+    import importlib
+
     from igaplate.condense import GMRES_MAX_SLENDERNESS, mesh_slenderness
     from igaplate.plate import expand_displacement
 
+    # lmp never tries GMRES; open its bound, as scripts/krylov_map.py does
+    monkeypatch.setattr(importlib.import_module("igaplate.condense"), "GMRES_MAX_SLENDERNESS_LMP", np.inf)
     pa = geometry_catalog("c0_single")
     load = lambda x, y: np.ones_like(x)  # noqa: E731
     # lmp needs all 60 iterations here; at t=1e-2 their answer passes the
@@ -636,6 +642,25 @@ def test_thin_plate_above_the_slenderness_gate_never_builds_the_primal_matrix(mo
     monkeypatch.undo()
     assert sol.diagnostics["n_dof_solved"] >= module.GMRES_MIN_DOFS
     assert module.mesh_slenderness(sol.ctx, cfg.make_material()) > module.GMRES_MAX_SLENDERNESS
+    assert sol.diagnostics["solver"] == "lu" and sol.diagnostics["iterations"] is None
+    assert calls == []
+    _, _, cond = _condensed(pa, cfg, load)
+    direct = expand_displacement(sol.d_full.size, sol.free_d, solve_direct(cond.k_cond, cond.f_d))
+    assert sol.d_full.tobytes() == direct.tobytes()
+
+
+def test_lmp_never_tries_gmres(monkeypatch):
+    from igaplate.plate import expand_displacement
+
+    # c0_single lmp p3 L3 t=1 passes the DOF gate and the ead bound (1083 DOFs)
+    pa = geometry_catalog("c0_single")
+    cfg = SolveConfig(variant="lmp", degree=3, level=3, thickness=1.0)
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    module, calls = _count_primal_builds(monkeypatch)
+    sol = solve_variant(pa, cfg, load=load)
+    monkeypatch.undo()
+    assert sol.diagnostics["n_dof_primal"] >= module.GMRES_MIN_DOFS
+    assert module.mesh_slenderness(sol.ctx, cfg.make_material()) <= module.GMRES_MAX_SLENDERNESS
     assert sol.diagnostics["solver"] == "lu" and sol.diagnostics["iterations"] is None
     assert calls == []
     _, _, cond = _condensed(pa, cfg, load)
@@ -730,3 +755,46 @@ def test_a_raising_thickness_leaves_no_local_alive_once_its_result_is_dropped(mo
         assert [ref() for ref in refs] == [None] * 3
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("estimate_condition", [False, True])
+def test_a_level_runs_colamd_once_and_solves_every_thickness_as_alone(monkeypatch, estimate_condition):
+    # every thickness's matrix has the pattern of the one build, so the
+    # first factorisation's column order serves the later ones, and each
+    # answer is the byte-for-byte answer of a separate solve
+    import importlib
+
+    import scipy.sparse.linalg as spla
+
+    module = importlib.import_module("igaplate.condense")
+    pa = geometry_catalog("undistorted")
+    thicknesses = [1.0, 1e-2, 1e-4]
+    loads = [BenchmarkProblem("undistorted", thickness=t).load for t in thicknesses]
+    cfg = SolveConfig(variant="ead", degree=2, level=3, thickness=1.0, estimate_condition=estimate_condition)
+    orderings = []
+    splu = spla.splu
+
+    def recording_splu(a, permc_spec=None, **kwargs):
+        orderings.append(permc_spec)
+        return splu(a, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    results = module.solve_thicknesses(pa, cfg, thicknesses, loads)
+    assert orderings == ["COLAMD", "NATURAL", "NATURAL"]
+    orderings.clear()
+    alone = [module.solve_variant(pa, replace(cfg, thickness=t), load) for t, load in zip(thicknesses, loads)]
+    assert orderings == ["COLAMD"] * 3
+    for sol, ref in zip(results, alone):
+        assert sol.d_full.tobytes() == ref.d_full.tobytes()
+        assert [s.tobytes() for s in sol.shear[0]] == [s.tobytes() for s in ref.shear[0]]
+        assert sol.diagnostics.get("cond_est") == ref.diagnostics.get("cond_est")
+        assert (sol.diagnostics.get("cond_est") is not None) == estimate_condition
+
+
+def test_a_scalar_load_solves_like_a_constant_array():
+    pa = geometry_catalog("undistorted")
+    cfg = SolveConfig(variant="mxd", degree=2, level=1, thickness=0.1)
+    scalar = solve_variant(pa, cfg, load=lambda x, y: 1.0)
+    array = solve_variant(pa, cfg, load=lambda x, y: np.ones_like(x))
+    assert scalar.d_full.tobytes() == array.d_full.tobytes()
+    assert np.abs(scalar.d_full).max() > 0

@@ -138,3 +138,45 @@ def test_solvers_take_the_inf_norm_without_reordering_the_callers_matrix():
     assert krylov.norm_a == dense_norm == DirectSolver(a).norm_a == 7.0
     assert np.array_equal(a.indices, indices) and np.array_equal(a.data, data)
     assert not a.has_sorted_indices
+
+
+def _same_pattern_pair(n=60, seed=5):
+    """Two nonsymmetric sparse matrices with one stored pattern and unrelated values."""
+    rng = np.random.default_rng(seed)
+    a = (sp.random(n, n, density=0.08, random_state=rng) + 4 * sp.identity(n)).tocsc()
+    b = a.copy()
+    b.data = rng.standard_normal(b.nnz)
+    b.setdiag(8.0 + b.diagonal())
+    return a, b
+
+
+def test_a_reused_column_order_factorises_like_a_fresh_colamd():
+    a, b = _same_pattern_pair()
+    first = DirectSolver(a)
+    order = first.column_order()
+    assert np.array_equal(order.order, np.argsort(first._lu.perm_c))
+    assert not np.array_equal(order.order, np.arange(len(order.order)))
+    reused, fresh = DirectSolver(b, order), DirectSolver(b)
+    assert reused.column_order() is order and fresh.column_order() is not order
+    for name in ("L", "U"):
+        assert getattr(reused._lu, name).data.tobytes() == getattr(fresh._lu, name).data.tobytes()
+    assert np.array_equal(reused._lu.perm_r, fresh._lu.perm_r)
+    rhs = np.random.default_rng(6).standard_normal((b.shape[0], 2))
+    for col in (rhs[:, 0], rhs):
+        assert reused.solve(col).tobytes() == fresh.solve(col).tobytes()
+    assert reused.condition_estimate() == fresh.condition_estimate()
+
+
+def test_a_column_order_is_not_given_to_another_pattern():
+    a, b = _same_pattern_pair()
+    order = DirectSolver(a).column_order()
+    zero = np.argwhere(b.toarray() == 0)[0]
+    grown = b.tolil()
+    grown[zero[0], zero[1]] = 1.0
+    grown = grown.tocsc()
+    assert grown.nnz == b.nnz + 1
+    solver, fresh = DirectSolver(grown, order), DirectSolver(grown)
+    assert solver.column_order() is not order
+    assert np.array_equal(solver._lu.perm_c, fresh._lu.perm_c)
+    rhs = np.ones(b.shape[0])
+    assert solver.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()

@@ -520,7 +520,8 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     matrix is factorised directly as for every other system.  Every
     thickness's matrix has the stored pattern of the one build, so the
     column order of the first direct factorisation serves every later one
-    (see DirectSolver) and COLAMD runs once per call.
+    (see DirectSolver) and COLAMD runs once per call; a matrix dense enough
+    for LAPACK's getrf has no column order and runs none.
 
     The result list is released from the frame on return: a stored
     exception's traceback keeps this frame, so a list left in it would

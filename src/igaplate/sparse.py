@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -16,6 +18,7 @@ class SingularMatrix(Exception):
 
 GMRES_RESTART = 60  # iterations of the one GMRES cycle; converging cells measured needed <= 50
 KRYLOV_GATE = 1e-13  # backward-error bound an iterative answer must meet
+DENSE_SHARE = 0.1  # a matrix storing at least this share of its n^2 entries is factorised dense
 
 
 def _inf_norm(a: sp.csr_matrix | sp.csc_matrix) -> float:
@@ -66,13 +69,49 @@ class ColumnOrder:
         return _pattern_digest(a) == self.pattern
 
 
+class DenseLU:
+    """LAPACK getrf factor P A = L U of a square CSC matrix, held as one dense array.
+
+    Offers the part of SuperLU's interface DirectSolver and its readers use:
+    shape, solve(b, trans) and the factors L (unit diagonal stored) and U
+    as sparse matrices, built on first use.  The matrix is expanded once
+    into a Fortran-ordered array that getrf overwrites with the factor, so
+    the factor is the only n x n array made until L or U is read.  Raises
+    SingularMatrix on an exact zero pivot.
+    """
+
+    def __init__(self, a: sp.csc_matrix):
+        self.shape = a.shape
+        lu, self._piv, info = lapack.dgetrf(a.toarray(order="F"), overwrite_a=True)
+        if info > 0:
+            raise SingularMatrix(f"exact zero pivot in column {info - 1}")
+        self._lu = lu
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        x, _ = lapack.dgetrs(self._lu, self._piv, b, trans={"N": 0, "T": 1}[trans])
+        return x
+
+    @cached_property
+    def L(self) -> sp.csc_matrix:
+        lower = np.tril(self._lu, -1)
+        np.fill_diagonal(lower, 1.0)
+        return sp.csc_matrix(lower)
+
+    @cached_property
+    def U(self) -> sp.csc_matrix:
+        return sp.csc_matrix(np.triu(self._lu))
+
+
 class DirectSolver:
     """Factorise once, solve many; every accepted solve meets a residual bound.
 
-    Handles nonsymmetric matrices; any input, dense ones included, is
-    factorised by SuperLU in CSC form.  Raises SingularMatrix if
-    factorisation fails or the residual bound
-    ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||) is violated.
+    Handles nonsymmetric matrices.  A matrix that stores at least
+    DENSE_SHARE of its n^2 entries is factorised dense by LAPACK (DenseLU),
+    so its dense array takes at most 1/DENSE_SHARE times the stored
+    entries; any other input, dense ones included, is factorised by
+    SuperLU in CSC form.  Raises SingularMatrix if factorisation fails or
+    the residual bound ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||) is
+    violated.
 
     Given the ColumnOrder of an earlier factorisation whose pattern A has,
     it factorises A[:, order] in natural order instead of running COLAMD
@@ -81,14 +120,16 @@ class DirectSolver:
     fresh factorisation.  The one exception is an exact tie for the largest
     entry of a pivot column: SuperLU breaks it in favour of the diagonal of
     the matrix it is given, which for A[:, order] is not A's diagonal.
-    Either pivot is a largest one.
+    Either pivot is a largest one.  A dense factor has no column order.
     """
 
     def __init__(self, a, column_order: ColumnOrder | None = None):
         a = sp.csc_matrix(a, dtype=float)
-        if a.shape[0] != a.shape[1]:
+        n = a.shape[0]
+        if n != a.shape[1]:
             raise SingularMatrix("matrix must be square")
-        if column_order is not None and not column_order.fits(a):
+        dense = a.nnz > 0 and a.nnz >= DENSE_SHARE * n * n
+        if dense or (column_order is not None and not column_order.fits(a)):
             column_order = None
         self._column_order = column_order
         self._order = None  # set when the factor is of A[:, order]
@@ -97,14 +138,17 @@ class DirectSolver:
             a = a[:, self._order]
         self.a = a  # the matrix factorised
         self.norm_a = _inf_norm(a)  # before the factor: its scratch is freed by then
-        try:
-            self._lu = spla.splu(a, permc_spec="COLAMD" if self._order is None else "NATURAL")
-        except (RuntimeError, ValueError) as exc:
-            raise SingularMatrix(str(exc)) from exc
+        if dense:
+            self._lu = DenseLU(a)
+        else:
+            try:
+                self._lu = spla.splu(a, permc_spec="COLAMD" if self._order is None else "NATURAL")
+            except (RuntimeError, ValueError) as exc:
+                raise SingularMatrix(str(exc)) from exc
 
-    def column_order(self) -> ColumnOrder:
-        """The column order of this factor, for later matrices of A's pattern."""
-        if self._column_order is None:
+    def column_order(self) -> ColumnOrder | None:
+        """The column order of this factor, for later matrices of A's pattern; None if dense."""
+        if self._column_order is None and not isinstance(self._lu, DenseLU):
             self._column_order = ColumnOrder(_pattern_digest(self.a), np.argsort(self._lu.perm_c))
         return self._column_order
 

@@ -320,18 +320,29 @@ def test_condition_estimate_recorded_on_request():
     assert sol.diagnostics["cond_est"] >= 1.0
 
 
-@pytest.mark.parametrize("variant", ["std", "mxd", "ead"])
-def test_condition_estimate_reuses_the_factorisation(variant, monkeypatch):
+def _record_factorisations(monkeypatch) -> list:
+    """The list that every SuperLU ("splu") or LAPACK ("getrf") factorisation appends its name to."""
+    import scipy.linalg.lapack as lapack
     import scipy.sparse.linalg as spla
 
     calls = []
-    splu = spla.splu
 
-    def counting_splu(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
+    def recording(name, factorise):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return factorise(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
+        return wrapper
+
+    monkeypatch.setattr(spla, "splu", recording("splu", spla.splu))
+    monkeypatch.setattr(lapack, "dgetrf", recording("getrf", lapack.dgetrf))
+    return calls
+
+
+@pytest.mark.parametrize("variant", ["std", "mxd", "ead"])
+def test_condition_estimate_reuses_the_factorisation(variant, monkeypatch):
+    # factorisations of either kind count: these level-1 matrices are dense enough for getrf
+    calls = _record_factorisations(monkeypatch)
     cfg = SolveConfig(variant=variant, degree=2, level=1, thickness=0.1, estimate_condition=True)
     sol = solve_variant(geometry_catalog("undistorted"), cfg, load=lambda x, y: np.ones_like(x))
     assert sol.diagnostics["cond_est"] is not None
@@ -757,20 +768,36 @@ def test_a_raising_thickness_leaves_no_local_alive_once_its_result_is_dropped(mo
         gc.enable()
 
 
+def _level_and_alone(module, cfg):
+    """One solve_thicknesses call on undistorted over three thicknesses, and a solve_variant per thickness."""
+    pa = geometry_catalog("undistorted")
+    thicknesses = [1.0, 1e-2, 1e-4]
+    loads = [BenchmarkProblem("undistorted", thickness=t).load for t in thicknesses]
+    level = module.solve_thicknesses(pa, cfg, thicknesses, loads)
+    alone = [module.solve_variant(pa, replace(cfg, thickness=t), load) for t, load in zip(thicknesses, loads)]
+    return level, alone
+
+
+def _assert_solved_as_alone(results, alone, estimate_condition):
+    for sol, ref in zip(results, alone, strict=True):
+        assert sol.d_full.tobytes() == ref.d_full.tobytes()
+        assert [s.tobytes() for s in sol.shear[0]] == [s.tobytes() for s in ref.shear[0]]
+        assert sol.diagnostics.get("cond_est") == ref.diagnostics.get("cond_est")
+        assert (sol.diagnostics.get("cond_est") is not None) == estimate_condition
+
+
 @pytest.mark.parametrize("estimate_condition", [False, True])
 def test_a_level_runs_colamd_once_and_solves_every_thickness_as_alone(monkeypatch, estimate_condition):
     # every thickness's matrix has the pattern of the one build, so the
     # first factorisation's column order serves the later ones, and each
-    # answer is the byte-for-byte answer of a separate solve
+    # answer is the byte-for-byte answer of a separate solve; the mxd p2 L4
+    # saddle stores 3.6 % of n^2, so it stays on SuperLU
     import importlib
 
     import scipy.sparse.linalg as spla
 
     module = importlib.import_module("igaplate.condense")
-    pa = geometry_catalog("undistorted")
-    thicknesses = [1.0, 1e-2, 1e-4]
-    loads = [BenchmarkProblem("undistorted", thickness=t).load for t in thicknesses]
-    cfg = SolveConfig(variant="ead", degree=2, level=3, thickness=1.0, estimate_condition=estimate_condition)
+    cfg = SolveConfig(variant="mxd", degree=2, level=4, thickness=1.0, estimate_condition=estimate_condition)
     orderings = []
     splu = spla.splu
 
@@ -779,16 +806,23 @@ def test_a_level_runs_colamd_once_and_solves_every_thickness_as_alone(monkeypatc
         return splu(a, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    results = module.solve_thicknesses(pa, cfg, thicknesses, loads)
-    assert orderings == ["COLAMD", "NATURAL", "NATURAL"]
-    orderings.clear()
-    alone = [module.solve_variant(pa, replace(cfg, thickness=t), load) for t, load in zip(thicknesses, loads)]
-    assert orderings == ["COLAMD"] * 3
-    for sol, ref in zip(results, alone):
-        assert sol.d_full.tobytes() == ref.d_full.tobytes()
-        assert [s.tobytes() for s in sol.shear[0]] == [s.tobytes() for s in ref.shear[0]]
-        assert sol.diagnostics.get("cond_est") == ref.diagnostics.get("cond_est")
-        assert (sol.diagnostics.get("cond_est") is not None) == estimate_condition
+    results, alone = _level_and_alone(module, cfg)
+    assert orderings == ["COLAMD", "NATURAL", "NATURAL"] + ["COLAMD"] * 3
+    _assert_solved_as_alone(results, alone, estimate_condition)
+
+
+@pytest.mark.parametrize("estimate_condition", [False, True])
+def test_a_dense_level_solves_every_thickness_as_alone(monkeypatch, estimate_condition):
+    # the ead p2 L3 condensed matrix stores more than DENSE_SHARE of n^2:
+    # every thickness is factorised by getrf, none by SuperLU
+    import importlib
+
+    module = importlib.import_module("igaplate.condense")
+    cfg = SolveConfig(variant="ead", degree=2, level=3, thickness=1.0, estimate_condition=estimate_condition)
+    calls = _record_factorisations(monkeypatch)
+    results, alone = _level_and_alone(module, cfg)
+    assert calls == ["getrf"] * 6
+    _assert_solved_as_alone(results, alone, estimate_condition)
 
 
 def test_a_scalar_load_solves_like_a_constant_array():

@@ -1,10 +1,14 @@
 """The direct-solve contract and structural counts."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from igaplate.sparse import (
+    DENSE_SHARE,
+    DenseLU,
     DirectSolver,
     KrylovSolver,
     SingularMatrix,
@@ -83,6 +87,71 @@ def test_dense_input_factorised_like_its_sparse_form():
     assert solve_direct(a, b).tobytes() == solve_direct(sp.csr_matrix(a), b).tobytes()
     with pytest.raises(SingularMatrix):
         solve_direct(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+
+
+def _stored_share_matrix(n, nnz, seed=7):
+    """A well-conditioned nonsymmetric n x n CSC matrix with exactly nnz stored entries."""
+    rng = np.random.default_rng(seed)
+    off = rng.permutation(np.flatnonzero(~np.eye(n, dtype=bool)))[: nnz - n]
+    rows = np.concatenate([np.arange(n), off // n])
+    cols = np.concatenate([np.arange(n), off % n])
+    vals = np.concatenate([n + rng.random(n), rng.standard_normal(nnz - n)])
+    a = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    assert a.nnz == nnz
+    return a
+
+
+def _counting_splu(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls, splu = [], spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+def test_a_matrix_at_the_dense_share_is_factorised_by_getrf_like_superlu(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    n = 60
+    a = _stored_share_matrix(n, int(np.ceil(DENSE_SHARE * n * n)))
+    reference = spla.splu(a)
+    calls = _counting_splu(monkeypatch)
+    solver = DirectSolver(a)
+    assert calls == [] and isinstance(solver._lu, DenseLU) and solver.column_order() is None
+    b = np.random.default_rng(8).standard_normal(n)
+    for trans in ("N", "T"):
+        x, ref = solver._lu.solve(b, trans=trans), reference.solve(b, trans=trans)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert solver.solve(b).tobytes() == solver._lu.solve(b).tobytes()
+    # the factors the trace counts: P A = L U with a unit lower L
+    lu = solver._lu
+    perm = np.arange(n)
+    for i, p in enumerate(lu._piv):
+        perm[[i, p]] = perm[[p, i]]
+    assert np.allclose((lu.L @ lu.U).toarray(), a.toarray()[perm], rtol=0, atol=1e-12 * n)
+    assert np.array_equal(lu.L.diagonal(), np.ones(n))
+
+
+def test_a_matrix_just_below_the_dense_share_goes_to_superlu(monkeypatch):
+    n = 60
+    a = _stored_share_matrix(n, int(np.ceil(DENSE_SHARE * n * n)) - 1)
+    calls = _counting_splu(monkeypatch)
+    solver = DirectSolver(a)
+    assert calls == [1] and not isinstance(solver._lu, DenseLU)
+    assert solver.column_order() is not None
+
+
+def test_a_singular_dense_matrix_raises_from_the_constructor_without_warning():
+    a = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 1.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix, match="exact zero pivot"):
+            DirectSolver(a)
 
 
 def test_krylov_solver_returns_only_answers_within_its_gate():

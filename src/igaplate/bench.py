@@ -498,10 +498,6 @@ class ConvergenceRecord:
     lump_dev: float | None = None
     error: str | None = None
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.elems_per_dir
-
 
 # one column per record field; a failed cell shows "error:<name>" as its l2_error
 _CSV_FIELDS = tuple(f.name for f in fields(ConvergenceRecord) if f.name != "error")

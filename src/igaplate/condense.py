@@ -238,7 +238,8 @@ class CondensedSystem:
     The condensed matrix K_dd - sum_a K_dSa X_a is kept as its bending part
     K_dd and its shear part sum_a K_dSa X_a.  Every X_a is proportional to
     kappa*G*t, so parts condensed from unit material scalars give the
-    matrix of any thickness divided by D as matrix(kappa*G*t / D).
+    matrix of any thickness divided by D as K_dd - (kappa*G*t / D) * shear
+    part (see ThicknessFreeParts).
     """
 
     k_dd: sp.csr_matrix
@@ -252,13 +253,9 @@ class CondensedSystem:
     def n(self) -> int:
         return self.k_dd.shape[0]
 
-    def matrix(self, ratio: float = 1.0) -> sp.csr_matrix:
-        """K_dd - ratio * sum_a K_dSa X_a."""
-        return (self.k_dd - ratio * self.k_shear).tocsr()
-
     @property
     def k_cond(self) -> sp.csr_matrix:
-        return self.matrix()
+        return (self.k_dd - self.k_shear).tocsr()
 
 
 def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
@@ -428,53 +425,59 @@ class ThicknessFreeParts:
     Built once per (geometry, variant, degree, level, nu, shear weighting,
     continuity reduction) with unit material scalars, D = 1 and
     kappa*G*t = 1 (see build_parts).  Thickness enters every block through
-    these two scalars only, so each thickness solves a nondimensional
-    system made from these parts (see system_at).
+    these two scalars only, so each thickness's system divided by D is the
+    pencil fixed + scale(mat) * scaled against f / D (see system_at):
+
+      std           bending + (kGt/D) * shear penalty
+      lmp, ad, ead  K_dd - (kGt/D) * sum_a K_dSa X_a
+      mxd           the saddle without its shear-shear blocks + (D/kGt) *
+                    those blocks; its shear unknowns are scaled by 1/D and
+                    its shear rows keep their right-hand side of 0
     """
 
     ctx: ProblemContext
     free: np.ndarray  # free d DOFs
-    quadrature: LoadQuadrature
-    system: MixedSystem | None = None  # mxd: the saddle blocks
-    cond: CondensedSystem | None = None  # lmp/ad/ead: bending and shear parts
-    primal_parts: tuple | None = None  # (bending, shear penalty) on the free DOFs
+    quadrature: LoadQuadrature | None
+    fixed: sp.csr_matrix | None
+    scaled: sp.csr_matrix | None
+    cond: CondensedSystem | None = None  # lmp/ad/ead: recovery operators and lump diagnostics
+    penalty: sp.csr_matrix | None = None  # primal shear penalty, assembled on first use
+
+    def scale(self, mat) -> float:
+        """The pencil's thickness-dependent scalar c(mat) (see the class docstring)."""
+        if self.ctx.config.variant == "mxd":
+            return mat.bending_stiffness / mat.kgt
+        return _ratio(mat) if self.ctx.config.variant == "std" else -_ratio(mat)
 
     def primal(self, mat) -> sp.csc_matrix:
         """Primal matrix of mat divided by D on the free d DOFs, bending + (kGt/D) shear.
 
-        A mixed or condensed system's parts are built on first use and kept
-        for later thicknesses.  Their bending part is the system's own K_dd,
-        the same bending blocks summed in the same order, so only the
-        shear-penalty part is assembled for it.
+        Its bending part is the leading block of fixed, the system's own
+        K_dd: the same bending blocks summed in the same order.
         """
-        if self.primal_parts is None:
-            shear = _primal_parts(self.ctx, bending=False)[0]
-            self.primal_parts = ((self.cond or self.system).k_dd, shear)
-        bending, shear = self.primal_parts
-        return (bending + _ratio(mat) * shear).tocsc()
+        if self.penalty is None:
+            self.penalty = _primal_parts(self.ctx, bending=False)[0]
+        n = len(self.free)
+        return (self.fixed[:n, :n] + _ratio(mat) * self.penalty).tocsc()
 
     def system_at(self, mat, load=None) -> tuple:
-        """Matrix and right-hand side of mat's system, nondimensionalised by D.
+        """Matrix and right-hand side of mat's system, nondimensionalised by D."""
+        f = np.zeros(self.fixed.shape[0])
+        f[: len(self.free)] = self.quadrature.vector(load)[self.free] / mat.bending_stiffness
+        return (self.fixed + self.scale(mat) * self.scaled).tocsr(), f
 
-        std, lmp, ad, ead: the d rows divided by D, that is the bending part
-        plus kappa*G*t / D times the shear part (see primal and
-        CondensedSystem.matrix), against f / D.  mxd: the same rows, and the
-        shear unknowns scaled by 1/D, so the shear-shear blocks carry
-        D / (kappa*G*t) and the shear rows keep their right-hand side of 0.
-        """
-        d = mat.bending_stiffness
-        f = self.quadrature.vector(load)[self.free] / d
-        if self.system is not None:
-            s = d / mat.kgt
-            return replace(
-                self.system,
-                k_s11=[s * m for m in self.system.k_s11],
-                k_s22=[s * m for m in self.system.k_s22],
-                f_d=f,
-            ).monolithic()
+    def split(self, x: np.ndarray, mat) -> tuple:
+        """The free d DOFs and per-patch shear (S1, S2), None for std, of system_at(mat)'s answer x."""
         if self.cond is not None:
-            return self.cond.matrix(_ratio(mat)), f
-        return self.primal(mat), f
+            return x, recover_shear(self.cond, mat.kgt * x)
+        if self.ctx.config.variant == "std":
+            return x, None
+        # mxd: x holds d, then S1 of every patch, then S2 of every patch, all over D
+        spaces = self.ctx.spaces
+        sizes = [len(self.free)] + [s.s1.ndof for s in spaces] + [s.s2.ndof for s in spaces]
+        d_free, *over_d = np.split(x, np.cumsum(sizes)[:-1])
+        shear = [mat.bending_stiffness * s for s in over_d]
+        return d_free, list(zip(shear[: len(spaces)], shear[len(spaces) :]))
 
 
 def build_parts(assembly, config: SolveConfig) -> ThicknessFreeParts:
@@ -487,17 +490,18 @@ def build_parts(assembly, config: SolveConfig) -> ThicknessFreeParts:
     ctx = prepare_problem(assembly, config)
     if config.variant == "std":
         shear, bending, quad, free = _primal_parts(ctx)
-        parts = ThicknessFreeParts(ctx, free, quad, primal_parts=(bending, shear))
-    else:
-        system = assemble_mixed(ctx, UnitMaterial(config.nu))
-        parts = ThicknessFreeParts(ctx, system.free_d, system.quadrature)
-        if config.variant == "mxd":
-            parts.system = system
-        else:
-            if config.variant in ("ad", "ead"):
-                system = pg_transform(system, *build_transforms(ctx))
-            parts.cond = condense(system, lumped=True)
-    return parts
+        return ThicknessFreeParts(ctx, free, quad, bending, shear)
+    system = assemble_mixed(ctx, UnitMaterial(config.nu))
+    if config.variant == "mxd":
+        empty = {k: [sp.csr_matrix(m.shape) for m in getattr(system, k)] for k in ("k_s11", "k_s22")}
+        fixed, _ = replace(system, **empty).monolithic()
+        scaled = sp.block_diag([sp.csr_matrix((system.nd, system.nd)), *system.k_s11, *system.k_s22], format="csr")
+        return ThicknessFreeParts(ctx, system.free_d, system.quadrature, fixed, scaled)
+    if config.variant in ("ad", "ead"):
+        system = pg_transform(system, *build_transforms(ctx))
+    cond = condense(system, lumped=True)
+    recovery = replace(cond, k_dd=None, k_shear=None, f_d=None)
+    return ThicknessFreeParts(ctx, system.free_d, system.quadrature, cond.k_dd, cond.k_shear, recovery)
 
 
 def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list:
@@ -506,8 +510,9 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     Returns, per thickness, its VariantSolution or the exception its solve
     raised; an exception of the build is returned for every thickness.  The
     build time is charged to the first thickness's assembly_s.  Once the
-    last thickness's system is formed, the parts' matrices are dropped, so
-    they do not share the memory peak of its factorisation.
+    last thickness's system is formed, the parts' matrices and load
+    quadrature are dropped, so they do not share the memory peak of its
+    factorisation.
 
     All variants share one factorisation and one solve of the
     nondimensional system.  A mixed or condensed system with at least
@@ -534,8 +539,6 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     except Exception as exc:
         return [exc] * len(thicknesses)
     ctx, free = parts.ctx, parts.free
-    # shear recovery and the diagnostics need none of the condensed matrices
-    cond = None if parts.cond is None else replace(parts.cond, k_dd=None, k_shear=None)
     ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
     bounds = {"mxd": GMRES_MAX_SLENDERNESS_MXD, "lmp": GMRES_MAX_SLENDERNESS_LMP}
     bound = bounds.get(config.variant, GMRES_MAX_SLENDERNESS)
@@ -550,8 +553,8 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                 mat = cfg.make_material()
                 diagnostics: dict = {"variant": cfg.variant}
                 primal = None
-                if cond is not None:
-                    diagnostics["condense_mode"] = cond.mode
+                if parts.cond is not None:
+                    diagnostics["condense_mode"] = parts.cond.mode
                 if (
                     cfg.variant != "std"
                     and not cfg.estimate_condition
@@ -560,8 +563,8 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                 ):
                     primal = parts.primal(mat)  # before the matrix: a first build peaks in memory
                 matrix, rhs = parts.system_at(mat, load)
-                if i == len(thicknesses) - 1:
-                    del parts
+                if i == len(thicknesses) - 1:  # the answer split needs none of these
+                    parts = replace(parts, quadrature=None, fixed=None, scaled=None, penalty=None)
 
                 t1 = time.perf_counter()
                 x, iterations = None, None
@@ -579,17 +582,7 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                     t2 = time.perf_counter()
                     x = solver.solve(rhs)
                 t3 = time.perf_counter()
-
-                if cfg.variant == "mxd":
-                    # x holds d, then S1 of every patch, then S2 of every patch, all over D
-                    sizes = [len(free)] + [s.s1.ndof for s in ctx.spaces] + [s.s2.ndof for s in ctx.spaces]
-                    d_free, *scaled = np.split(x, np.cumsum(sizes)[:-1])
-                    shear = [mat.bending_stiffness * s for s in scaled]
-                    shear = list(zip(shear[: len(ctx.spaces)], shear[len(ctx.spaces) :]))
-                elif cond is not None:
-                    d_free, shear = x, recover_shear(cond, mat.kgt * x)
-                else:
-                    d_free, shear = x, None
+                d_free, shear = parts.split(x, mat)
 
                 nnz, band = nnz_and_bandwidth(matrix)
                 diagnostics.update(
@@ -602,7 +595,7 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                         "assembly_s": t1 - t0,
                         "factor_s": t2 - t1,
                         "solve_s": t3 - t2,
-                        "lump_dev": None if cond is None else cond.lump_dev,
+                        "lump_dev": None if parts.cond is None else parts.cond.lump_dev,
                         "solver": "gmres" if isinstance(solver, KrylovSolver) else "lu",
                         "iterations": iterations,
                     }

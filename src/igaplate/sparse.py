@@ -17,7 +17,7 @@ class SingularMatrix(Exception):
 
 
 GMRES_RESTART = 60  # iterations of the one GMRES cycle; converging cells measured needed <= 50
-KRYLOV_GATE = 1e-13  # backward-error bound an iterative answer must meet
+KRYLOV_GATE = 1e-13  # backward-error bound every direct and iterative answer must meet
 DENSE_SHARE = 0.1  # a matrix storing at least this share of its n^2 entries is factorised dense
 
 
@@ -110,7 +110,7 @@ class DirectSolver:
     so its dense array takes at most 1/DENSE_SHARE times the stored
     entries; any other input, dense ones included, is factorised by
     SuperLU in CSC form.  Raises SingularMatrix if factorisation fails or
-    the residual bound ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||) is
+    the residual bound ||Ax - b|| <= KRYLOV_GATE (||A|| ||x|| + ||b||) is
     violated.
 
     Given the ColumnOrder of an earlier factorisation whose pattern A has,
@@ -165,7 +165,7 @@ class DirectSolver:
         y = self._lu.solve(b)
         if not np.all(np.isfinite(y)):
             raise SingularMatrix("solve produced non-finite entries")
-        resid, bound = _residual_and_bound(self.a, y, b, 1e-10, self.norm_a)  # A[:, order] y = A x
+        resid, bound = _residual_and_bound(self.a, y, b, KRYLOV_GATE, self.norm_a)  # A[:, order] y = A x
         if resid > bound:
             raise SingularMatrix(f"residual {resid:.3e} exceeds bound {bound:.3e}")
         return self._to_columns_of_a(y)
@@ -205,7 +205,7 @@ class KrylovSolver:
     residual has fallen by KRYLOV_GATE.  An answer is returned only if the
     cycle stopped before its last iteration and
     ||Ax - b|| <= KRYLOV_GATE (||A|| ||x|| + ||b||) in the infinity norm of
-    A, as in DirectSolver; otherwise solve() returns None and the caller
+    A, the gate of DirectSolver; otherwise solve() returns None and the caller
     decides how to solve instead.  A cycle that needs every iteration has
     not converged, and its answer can pass the residual gate while far off
     the LU answer (1.1e-9 relative on c0_single lmp p=3 L3 t=1e-2).

@@ -423,16 +423,20 @@ def test_condensed_sparser_than_mixed():
 
 
 def test_stored_entry_count_does_not_depend_on_thickness():
-    # nnz_solved counts stored entries; every thickness scales the blocks of
-    # one thickness-free build, so all of them store the same pattern
-    pa = geometry_catalog("undistorted")
-    counts = {
-        t: solve_variant(
-            pa, SolveConfig(variant="mxd", degree=2, level=3, thickness=t), load=lambda x, y: np.ones_like(x)
-        ).diagnostics["nnz_solved"]
-        for t in (1e-2, 1e-8)
-    }
-    assert counts[1e-2] == counts[1e-8]
+    # nnz_solved counts stored entries; every thickness's matrix is the pencil
+    # of one thickness-free build, so all of them store its pattern, which the
+    # column-order reuse of a level's direct solves relies on
+    from igaplate.condense import VARIANTS, solve_thicknesses
+
+    thicknesses = [1.0, 1e-2, 1e-4, 1e-8]
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    for geometry, p, level in (("undistorted", 2, 3), ("mp_various", 3, 2)):
+        pa = geometry_catalog(geometry)
+        for variant in VARIANTS:
+            cfg = SolveConfig(variant=variant, degree=p, level=level, thickness=1.0)
+            sols = solve_thicknesses(pa, cfg, thicknesses, [load] * len(thicknesses))
+            counts = [sol.diagnostics["nnz_solved"] for sol in sols]
+            assert counts == [counts[0]] * len(thicknesses), (geometry, variant)
 
 
 def test_mxd_keeps_the_thin_plate_limit():
@@ -460,7 +464,7 @@ def test_solve_thicknesses_shares_one_build_and_frees_it(monkeypatch, geometry, 
 
     def capturing_build(assembly, config):
         parts = build(assembly, config)
-        built.extend(weakref.ref(m) for m in (parts, parts.quadrature, parts.cond.k_dd, parts.cond.k_shear))
+        built.extend(weakref.ref(m) for m in (parts, parts.quadrature, parts.fixed, parts.scaled))
         return parts
 
     def checking(solver_class):

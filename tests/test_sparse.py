@@ -1,6 +1,7 @@
 """The direct-solve contract and structural counts."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,9 +55,25 @@ def test_residual_contract_on_solves():
     b = rng.standard_normal(30)
     x = solve_direct(a, b)
     norm_a = sp.linalg.norm(a, np.inf)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * (
+    assert np.linalg.norm(a @ x - b) <= 1e-13 * (
         norm_a * np.linalg.norm(x) + np.linalg.norm(b)
     )
+
+
+def test_a_direct_answer_with_a_backward_error_of_1e_11_is_rejected():
+    # the direct and the Krylov solves share one gate, KRYLOV_GATE = 1e-13
+    rng = np.random.default_rng(1)
+    a = sp.csr_matrix(rng.standard_normal((30, 30)) + 10 * np.eye(30))
+    b = rng.standard_normal(30)
+    solver = DirectSolver(a)
+    x = solver.solve(b)
+    # a perturbation e of the answer with ||A e|| / (||A|| ||x|| + ||b||) = 1e-11
+    e = rng.standard_normal(30)
+    e *= 1e-11 * (sp.linalg.norm(a, np.inf) * np.linalg.norm(x) + np.linalg.norm(b)) / np.linalg.norm(a @ e)
+    factor = solver._lu
+    solver._lu = SimpleNamespace(solve=lambda rhs: factor.solve(rhs) + e)
+    with pytest.raises(SingularMatrix, match="residual"):
+        solver.solve(b)
 
 
 def test_nnz_and_bandwidth_identity():

@@ -3,10 +3,11 @@
 
 Runs `bench.run_convergence_study` with the given study settings and prints,
 per cell in record order: the key (variant, p, t, level), the SHA-256 of
-`d_full`, the `repr` of the L2 error, the solver and the GMRES iteration
-count.  A failed cell prints the name of its exception instead.  Two
-commits give the same answers on a study exactly when their outputs are the
-same, so a byte-identity claim is one `diff`:
+`d_full`, the `repr` of the L2 error, the solver, the GMRES iteration
+count, `nnz_condensed` and the `repr` of `lump_dev`.  A failed cell prints
+the name of its exception instead.  Two commits give the same answers and
+patterns on a study exactly when their outputs are the same, so a
+byte-identity claim is one `diff`:
 
     PYTHONPATH=src python scripts/cell_digests.py --geometry mp_various \\
         --variants mxd,ead --degrees 3 --levels 1,2,3 > after.txt
@@ -76,7 +77,8 @@ def main(argv=None) -> int:
         sol = solved[r.variant, r.p, r.t, r.level]
         digest = hashlib.sha256(sol.d_full.tobytes()).hexdigest()
         d = sol.diagnostics
-        print(key, digest, repr(r.l2_error), d["solver"], d["iterations"])
+        extra = (d["solver"], d["iterations"], r.nnz_condensed, repr(r.lump_dev))
+        print(key, digest, repr(r.l2_error), *extra)
     return 0
 
 

@@ -67,15 +67,6 @@ def exact_displacement(x, y, t: float, nu: float):
     return w0 - 2.0 * t * t / (5.0 * (1.0 - nu)) * (w1 + w2)
 
 
-def exact_rotation(x, y):
-    """Rotation field of the closed-form solution (gradient of the bending part)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    th1 = x * x * (x - 1.0) ** 2 * (2.0 * x - 1.0) * (y * (y - 1.0)) ** 3
-    th2 = (x * (x - 1.0)) ** 3 * y * y * (y - 1.0) ** 2 * (2.0 * y - 1.0)
-    return th1, th2
-
-
 @dataclass(frozen=True)
 class BenchmarkProblem:
     """Clamped square plate with the catalog material constants."""
@@ -111,23 +102,6 @@ def l2_error(solution: VariantSolution, problem: BenchmarkProblem, reference=Non
             wh = (r @ wc[gi][..., None])[..., 0]
             wex = np.reshape(ref(xy[:, 0], xy[:, 1]), wh.shape)
             total += float(np.sum((wh - wex) ** 2 * w_param * det))
-    return math.sqrt(total)
-
-
-def reference_l2_norm(problem: BenchmarkProblem, n: int = 64) -> float:
-    """||w_ref||_L2 over the unit square (tensor Gauss on an n x n grid)."""
-    xg, wg = np.polynomial.legendre.leggauss(6)
-    edges = np.linspace(0.0, 1.0, n + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        ws = 0.5 * (b - a) * wg
-        for c, d in zip(edges[:-1], edges[1:]):
-            ys = 0.5 * (c + d) + 0.5 * (d - c) * xg
-            vs = 0.5 * (d - c) * wg
-            xx, yy = np.meshgrid(xs, ys, indexing="ij")
-            val = problem.reference_w(xx.ravel(), yy.ravel()) ** 2
-            total += float(val @ np.outer(ws, vs).ravel())
     return math.sqrt(total)
 
 

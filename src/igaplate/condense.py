@@ -24,10 +24,8 @@ import scipy.sparse as sp
 
 from .duals import (
     DimensionMismatch,
-    DualTransform2D,
     dual_transform_1d,
     dual_transform_2d,
-    extract_element_transform,
 )
 from .multipatch import PatchAssembly, assemble_multipatch, assemble_primal_multipatch, build_dof_map
 from .plate import (
@@ -35,10 +33,6 @@ from .plate import (
     MixedSystem,
     PatchDiscretization,
     UnitMaterial,
-    _csr,
-    _mixed_blocks,
-    _rotation_ids,
-    _triplets,
     apply_clamped_bc,
     build_field_spaces,
     d_ids,
@@ -316,45 +310,6 @@ def recover_shear(cond: CondensedSystem, d_solution: np.ndarray) -> list:
         s2 = -np.asarray(x2 @ d_solution).ravel()
         out.append((s1, s2))
     return out
-
-
-# ---------------------------------------------------------------------------
-# element-wise transform path (multi-patch friendly assembly order)
-# ---------------------------------------------------------------------------
-
-
-def pg_shear_rows_elementwise(disc: PatchDiscretization, mat, t1: DualTransform2D, t2: DualTransform2D):
-    """Assemble already-transformed shear rows element by element.
-
-    Sums T^e K^e over the elements of the batched kernel, which equals
-    transforming the assembled blocks globally; the element path avoids
-    building a huge block-diagonal transform in multi-patch runs.  Returns
-    (K_S1d, K_S2d, K_S11, K_S22) in patch-local numbering.
-    """
-    spaces = disc.spaces
-    nd, ns1, ns2 = spaces.nd, spaces.s1.ndof, spaces.s2.ndof
-    parts = {key: [] for key in ("s1d", "s2d", "s11", "s22")}
-    for eu, ev in disc.chunks():
-        k = _mixed_blocks(disc, mat, "weighted", eu, ev)
-        rot = _rotation_ids(k["gi"], spaces.disp.ndof)
-        for key, t, theta in (("1", t1, rot[:, 0::2]), ("2", t2, rot[:, 1::2])):
-            s = k[f"s{key}_idx"]
-            for e in range(len(eu)):
-                et = extract_element_transform(t, s[e])
-                for name, cols, blk, n_cols in (
-                    (f"s{key}d", k["gi"][e], k[f"s{key}d_w"][e], nd),
-                    (f"s{key}d", theta[e], k[f"s{key}d_t"][e], nd),
-                    (f"s{key}{key}", s[e], k[f"s{key}{key}"][e], t.n),
-                ):
-                    parts[name].append(
-                        _triplets(et.rows[None], cols[None], (et.block @ blk)[None], n_cols)
-                    )
-    return (
-        _csr((ns1, nd), parts["s1d"]),
-        _csr((ns2, nd), parts["s2d"]),
-        _csr((ns1, ns1), parts["s11"]),
-        _csr((ns2, ns2), parts["s22"]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -616,47 +616,110 @@ def boundary_point_ids(grid) -> np.ndarray:
     return np.unique(np.concatenate([edge_point_ids(grid.shape, e) for e in EDGES]))
 
 
-def _triplets(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, n_cols: int) -> tuple:
-    """(key, value) pairs of a batch of dense blocks (E, a, b) with ids rows (E, a), cols (E, b).
+def _sides(disc: PatchDiscretization) -> dict:
+    """The sides of one patch's blocks by name: all d ids, the rotation pairs, w with
+    one rotation, and the shear spaces, each as (grid, groups, size).
 
-    Entry (r, c) is keyed r * n_cols + c, one int64 per entry; no row or
-    column array the size of the blocks is made.
+    Every element holds count[0] x count[1] functions of the grid (first,
+    count, shape), from first[0][eu] and first[1][ev] on; point (i_u, i_v)
+    is number i_u * n_v + i_v, as in the kernel.  Component c of point k in
+    group (base, stride, n) has id base + stride * k + c, of `size` ids.
     """
-    key = rows[:, :, None].astype(np.int64) * n_cols + cols[:, None, :]
-    return key.ravel(), blocks.ravel()
+    spaces = disc.spaces
+    pu, pv = spaces.degrees
+    nw, nd = spaces.disp.ndof, spaces.nd
+    d = ((disc.first_du, disc.first_dv), (pu + 1, pv + 1), spaces.disp.shape)
+    s1 = ((disc.first_1u, disc.first_dv), (pu, pv + 1), spaces.s1.shape)
+    s2 = ((disc.first_du, disc.first_2v), (pu + 1, pv), spaces.s2.shape)
+    one, rot = (0, 1, 1), (nw, 2, 2)
+    return {
+        "d": (d, (one, rot), nd),
+        "rot": (d, (rot,), nd),
+        "w_t1": (d, (one, (nw, 2, 1)), nd),
+        "w_t2": (d, (one, (nw + 1, 2, 1)), nd),
+        "s1": (s1, (one,), spaces.s1.ndof),
+        "s2": (s2, (one,), spaces.s2.ndof),
+    }
 
 
-def _csr(shape, parts: list) -> sp.csr_matrix:
-    """One CSR build from (key, value) parts, with one sort.
+class _Band:
+    """One patch block, summed in its tensor-product band and read out as CSR.
 
-    The parts are packed into one key array and one value array, and each
-    part is released from `parts` once copied.  A stable sort on the key
-    keeps each entry's contributions in the order the elements came, so the
-    sums do not depend on CHUNK.  Sums that are exactly zero (they cancel
-    on affine patches) are not stored.  Keys and the sort order are held in
-    32 bits where they fit, to bound the peak memory.
+    In an element both functions of an entry are the element's first one plus
+    a local offset per direction, and the two sides' first functions differ by
+    one shift per patch, so an entry's column is its row's point moved by
+    (du, dv).  The band has a row per row id from the side's first id on and
+    `width` slots, one per (column group, du, dv, component); a contribution
+    adds to row * width + slot[q, s], a static table of element-local pairs.
+    np.add.at adds in element order, so the sums do not depend on CHUNK; sums
+    that are exactly zero (they cancel on affine patches) are not stored.
     """
-    n = sum(len(k) for k, _ in parts)
-    small = np.iinfo(np.int32).max
-    key = np.empty(n, dtype=np.int32 if shape[0] * shape[1] <= small else np.int64)
-    val = np.empty(n)
-    start = 0
-    for i, (k, v) in enumerate(parts):
-        key[start : start + len(k)] = k
-        val[start : start + len(k)] = v
-        start += len(k)
-        parts[i] = None
-    order = np.argsort(key, kind="stable")
-    if n <= small:
-        order = order.astype(np.int32)
-    key = key[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    sums = np.add.reduceat(val[order], first)
-    del val, order
-    keep = sums != 0.0
-    key = key[first][keep]
-    indptr = np.searchsorted(key, np.arange(shape[0] + 1, dtype=np.int64) * shape[1])
-    return sp.csr_matrix((sums[keep], key % shape[1], indptr), shape=shape)
+
+    def __init__(self, rows: tuple, cols: tuple):
+        ((r_first, (lu, lv), r_shape), self.row_groups, n_rows) = rows
+        ((c_first, (cu, cv), c_shape), c_groups, n_cols) = cols
+        shift = [fc - fr for fr, fc in zip(r_first, c_first)]
+        if any(np.any(s != s[0]) for s in shift):
+            raise SplineError("the two sides of a block differ by more than one shift")
+        wu, wv = lu + cu - 1, lv + cv - 1
+        du, dv = np.divmod(np.arange(wu * wv), wv)
+        # column point of slot (du, dv), less the row point's place in the column grid
+        moved = (du - lu + 1 + shift[0][0]) * c_shape[1] + dv - lv + 1 + shift[1][0]
+        stride, const, start = [], [], [0]
+        for base, step, n in c_groups:
+            stride.append(np.full(wu * wv * n, step))
+            const.append((base + step * moved[:, None] + np.arange(n)).ravel())
+            start.append(start[-1] + wu * wv * n)
+        self.width = start[-1]
+        self.col_stride, self.col_const = np.concatenate(stride), np.concatenate(const)
+        # the place of every band row's point in the column grid
+        self.first, self.shape = min(g[0] for g in self.row_groups), (n_rows, n_cols)
+        point = np.arange(r_shape[0] * r_shape[1])
+        iu, iv = np.divmod(point, r_shape[1])
+        self.col_base = np.zeros(n_rows - self.first, dtype=np.int64)
+        for base, step, n in self.row_groups:
+            rows = base - self.first + step * point[:, None] + np.arange(n)
+            self.col_base[rows] = (iu * c_shape[1] + iv)[:, None]
+        # slot of every element-local pair (q, s) of each (row group, column group) piece
+        au, av = np.divmod(np.arange(lu * lv), lv)
+        bu, bv = np.divmod(np.arange(cu * cv), cv)
+        pair = (bu - au[:, None] + lu - 1) * wv + bv - av[:, None] + lv - 1
+        self.slots = {}
+        for j, (_, _, nc) in enumerate(c_groups):
+            slot = (start[j] + pair[:, :, None] * nc + np.arange(nc)).reshape(lu * lv, -1)
+            for i, (_, _, nr) in enumerate(self.row_groups):
+                self.slots[i, j] = np.repeat(slot, nr, axis=0)
+        self.values = np.zeros((n_rows - self.first) * self.width)
+
+    def add(self, points: np.ndarray, pieces) -> None:
+        """Add a batch's blocks, given its row points (E, L) and the pieces
+        (row group, column group, blocks (E, q, s)) of the block."""
+        for i, j, block in pieces:
+            base, step, n = self.row_groups[i]
+            rows = (base - self.first + step * points)[:, :, None] + np.arange(n)
+            keys = rows.reshape(len(points), -1, 1) * self.width + self.slots[i, j]
+            np.add.at(self.values, keys.ravel(), block.ravel())
+
+    def csr(self) -> sp.csr_matrix:
+        """The block in patch-local ids, with sorted column ids."""
+        nz = np.flatnonzero(self.values)
+        row, slot = np.divmod(nz, self.width)
+        cols = self.col_stride[slot] * self.col_base[row] + self.col_const[slot]
+        counts = np.bincount(row, minlength=len(self.col_base))
+        indptr = np.concatenate([np.zeros(self.first + 1, dtype=np.int64), np.cumsum(counts)])
+        return sp.csr_matrix((self.values[nz], cols, indptr), shape=self.shape)
+
+
+def _relabel(k: sp.csr_matrix, ids: np.ndarray, nd: int, rows: bool, cols: bool) -> sp.csr_matrix:
+    """P^T k P on the sides asked for, sorted; P[i, ids[i]] = 1 takes a patch's d ids
+    to the shared numbering (a single patch's ids are the shared ones)."""
+    if not (rows or cols) or (len(ids) == nd and np.array_equal(ids, np.arange(nd))):
+        return k
+    p = sp.csr_matrix((np.ones(len(ids)), ids, np.arange(len(ids) + 1)), shape=(len(ids), nd))
+    k = p.T.tocsr() @ k if rows else k
+    k = k @ p if cols else k
+    k.sort_indices()
+    return k
 
 
 def assemble_patches(
@@ -668,47 +731,37 @@ def assemble_patches(
     boundary_d: np.ndarray,
     load=None,
 ) -> MixedSystem:
-    """Mixed system of several patches, scattered once into a shared d numbering.
+    """Mixed system of several patches in a shared d numbering.
 
     d_maps[p] maps patch p's local d ids to global ones; shear ids stay
-    patch-local, so every patch keeps its own shear blocks.  Only the
-    nonzero sub-blocks of the element matrices are stored.
+    patch-local, so every patch keeps its own shear blocks.  Each block is
+    summed in its patch's band (see _Band) from the nonzero sub-blocks of
+    the element matrices, the w and matching-rotation parts of a coupling
+    block in one band, and then mapped into the shared numbering.
     """
-    dd = []
     quad = LoadQuadrature(nd)
-    blocks = {key: [] for key in ("ds1", "ds2", "s1d", "s2d", "s11", "s22")}
+    blocks = {key: [] for key in ("dd", "ds1", "ds2", "s1d", "s2d", "s11", "s22")}
     for disc, d_map in zip(discs, d_maps):
-        nw = disc.spaces.disp.ndof
-        parts = {key: [] for key in blocks}
-        ns1, ns2 = disc.spaces.s1.ndof, disc.spaces.s2.ndof
+        side = _sides(disc)
+        bands = {"dd": _Band(side["rot"], side["rot"])}
+        for a in ("1", "2"):
+            d, s = side["w_t" + a], side["s" + a]
+            bands.update({"ds" + a: _Band(d, s), f"s{a}d": _Band(s, d), f"s{a}{a}": _Band(s, s)})
         for eu, ev in disc.chunks():
             k = _mixed_blocks(disc, mat, scheme, eu, ev)
-            w = d_map[k["gi"]]
-            rot = d_map[_rotation_ids(k["gi"], nw)]
-            s1, s2 = k["s1_idx"], k["s2_idx"]
-            dd.append(_triplets(rot, rot, k["tt"], nd))
-            for key, s, t, ns in (("1", s1, rot[:, 0::2], ns1), ("2", s2, rot[:, 1::2], ns2)):
-                parts["ds" + key] += [
-                    _triplets(w, s, k[f"ds{key}_w"], ns),
-                    _triplets(t, s, k[f"ds{key}_t"], ns),
-                ]
-                parts[f"s{key}d"] += [
-                    _triplets(s, w, k[f"s{key}d_w"], nd),
-                    _triplets(s, t, k[f"s{key}d_t"], nd),
-                ]
-                parts[f"s{key}{key}"].append(_triplets(s, s, k[f"s{key}{key}"], ns))
-            quad.add(w, k["xy"], k["rw"])
-        for key, shape in (
-            ("ds1", (nd, ns1)),
-            ("ds2", (nd, ns2)),
-            ("s1d", (ns1, nd)),
-            ("s2d", (ns2, nd)),
-            ("s11", (ns1, ns1)),
-            ("s22", (ns2, ns2)),
-        ):
-            blocks[key].append(_csr(shape, parts[key]))
+            gi = k["gi"]
+            bands["dd"].add(gi, [(0, 0, k["tt"])])
+            for key in ("1", "2"):
+                s = k[f"s{key}_idx"]
+                bands["ds" + key].add(gi, [(0, 0, k[f"ds{key}_w"]), (1, 0, k[f"ds{key}_t"])])
+                bands[f"s{key}d"].add(s, [(0, 0, k[f"s{key}d_w"]), (0, 1, k[f"s{key}d_t"])])
+                bands[f"s{key}{key}"].add(s, [(0, 0, k[f"s{key}{key}"])])
+            quad.add(d_map[gi], k["xy"], k["rw"])
+        for key, band in bands.items():
+            # d rows and d columns go to the shared numbering
+            blocks[key].append(_relabel(band.csr(), d_map, nd, key[0] == "d", key[-1] == "d"))
     return MixedSystem(
-        k_dd=_csr((nd, nd), dd),
+        k_dd=sum(blocks["dd"][1:], blocks["dd"][0]),  # the sum drops entries that cancel to 0
         k_ds1=blocks["ds1"],
         k_ds2=blocks["ds2"],
         k_s1d=blocks["s1d"],
@@ -764,8 +817,6 @@ def apply_clamped_bc(system: MixedSystem) -> tuple[MixedSystem, dict]:
     return constrained, report
 
 
-
-
 def expand_displacement(nd_full: int, free: np.ndarray, d_free: np.ndarray) -> np.ndarray:
     """Scatter a free solution into the full d vector (zeros on the boundary)."""
     full = np.zeros(nd_full)
@@ -778,6 +829,29 @@ def expand_displacement(nd_full: int, free: np.ndarray, d_free: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 
 
+def _primal_blocks(disc: PatchDiscretization, mat: PlateMaterial, eu, ev, bending=True) -> dict:
+    """Primal blocks of a batch of elements: the kappa*G*t shear penalty 'shear' on all
+    d ids, the bending block 'tt' on the rotations (None without `bending`) and the
+    load quadrature 'xy' and 'rw' (see LoadQuadrature)."""
+    geo = disc.geometry(eu, ev)
+    r, gx, gy = geo["r"], geo["gx"], geo["gy"]
+    ne, nq, nloc = r.shape
+    w_phys = geo["w_param"] * geo["det"]
+    bs = np.zeros((ne, nq, 2, 3 * nloc))
+    bs[:, :, 0, :nloc] = gx
+    bs[:, :, 1, :nloc] = gy
+    bs[:, :, 0, nloc::2] = -r
+    bs[:, :, 1, nloc + 1 :: 2] = -r
+    bsw = (bs * w_phys[..., None, None]).reshape(ne, 2 * nq, -1)
+    return {
+        "gi": geo["gi"],
+        "shear": mat.kgt * (_swap(bsw) @ bs.reshape(ne, 2 * nq, -1)),
+        "tt": _bending(gx, gy, w_phys, mat.d_bend) if bending else None,
+        "xy": geo["xy"],
+        "rw": _swap(r * w_phys[..., None]),
+    }
+
+
 def assemble_primal_patches(
     discs: list, d_maps: list, nd: int, mat: PlateMaterial, bending: bool = True
 ) -> tuple:
@@ -785,30 +859,26 @@ def assemble_primal_patches(
 
     Returns the kappa*G*t shear-penalty part, the bending part (None unless
     asked for) and the load quadrature; the primal matrix is the sum of the
-    two parts.  Both come from one pass of the batched kernel; the bending
-    part is scattered from the rotation block only, the one block where it
-    is nonzero.  See assemble_patches for d_maps.
+    two parts.  Both come from one pass of the batched kernel, each summed
+    in its own band; the bending part only from the rotation block, the
+    one block where it is nonzero.  See assemble_patches for d_maps.
     """
     shear, bend = [], []
     quad = LoadQuadrature(nd)
     for disc, d_map in zip(discs, d_maps):
-        nw = disc.spaces.disp.ndof
+        side = _sides(disc)
+        shear_band = _Band(side["d"], side["d"])
+        bend_band = _Band(side["rot"], side["rot"]) if bending else None
         for eu, ev in disc.chunks():
-            geo = disc.geometry(eu, ev)
-            r, gx, gy = geo["r"], geo["gx"], geo["gy"]
-            ne, nq, nloc = r.shape
-            w_phys = geo["w_param"] * geo["det"]
-            bs = np.zeros((ne, nq, 2, 3 * nloc))
-            bs[:, :, 0, :nloc] = gx
-            bs[:, :, 1, :nloc] = gy
-            bs[:, :, 0, nloc::2] = -r
-            bs[:, :, 1, nloc + 1 :: 2] = -r
-            bsw = (bs * w_phys[..., None, None]).reshape(ne, 2 * nq, -1)
-            k_shear = mat.kgt * (_swap(bsw) @ bs.reshape(ne, 2 * nq, -1))
-            ids = d_map[d_ids(geo["gi"], nw)]
-            shear.append(_triplets(ids, ids, k_shear, nd))
+            k = _primal_blocks(disc, mat, eu, ev, bending)
+            gi, ks = k["gi"], k["shear"]
+            w, t = slice(None, gi.shape[1]), slice(gi.shape[1], None)
+            parts = ((0, w), (1, t))
+            shear_band.add(gi, [(i, j, ks[:, a, b]) for i, a in parts for j, b in parts])
             if bending:
-                rot = ids[:, nloc:]
-                bend.append(_triplets(rot, rot, _bending(gx, gy, w_phys, mat.d_bend), nd))
-            quad.add(ids[:, :nloc], geo["xy"], _swap(r * w_phys[..., None]))
-    return _csr((nd, nd), shear), _csr((nd, nd), bend) if bending else None, quad
+                bend_band.add(gi, [(0, 0, k["tt"])])
+            quad.add(d_map[gi], k["xy"], k["rw"])
+        shear.append(_relabel(shear_band.csr(), d_map, nd, True, True))
+        if bending:
+            bend.append(_relabel(bend_band.csr(), d_map, nd, True, True))
+    return sum(shear[1:], shear[0]), sum(bend[1:], bend[0]) if bending else None, quad

@@ -23,7 +23,6 @@ from igaplate.condense import (
     assemble_mixed,
     build_transforms,
     condense,
-    pg_shear_rows_elementwise,
     pg_transform,
     prepare_problem,
     solve_variant,
@@ -35,6 +34,7 @@ from igaplate.duals import (
 )
 from igaplate.plate import PatchDiscretization, apply_clamped_bc, assemble, build_field_spaces
 from igaplate.sparse import DirectSolver, solve_direct
+from oracles import pg_shear_rows_elementwise
 from igaplate.splines import eval_basis_1d, insert_knots, validate_knot_vector
 
 _cells: dict = {}

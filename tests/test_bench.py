@@ -16,7 +16,6 @@ from igaplate.bench import (
     StudyConfig,
     UnknownGeometry,
     exact_displacement,
-    exact_rotation,
     geometry_catalog,
     l2_error,
     least_squares_rate,
@@ -24,13 +23,13 @@ from igaplate.bench import (
     load_geometry,
     read_geometry_file,
     records_to_csv,
-    reference_l2_norm,
     run_convergence_study,
     run_single,
     write_geometry_file,
 )
 from igaplate.condense import SolveConfig, solve_variant
 from igaplate.plate import material
+from oracles import exact_rotation, reference_l2_norm
 
 
 # load and closed-form solution ------------------------------------------------
@@ -703,4 +702,6 @@ def test_cell_digests_script_pins_each_cell(capsys, monkeypatch):
     config = SolveConfig(variant="ead", degree=2, level=2, thickness=1.0)
     sol = solve_variant(geometry_catalog("undistorted"), config, load=problem.load)
     digest = hashlib.sha256(sol.d_full.tobytes()).hexdigest()
-    assert lines[3] == f"ead p=2 t=1.0 L=2 {digest} {l2_error(sol, problem)!r} lu None"
+    d = sol.diagnostics
+    pattern = f"{d['nnz_solved']} {d['lump_dev']!r}"
+    assert lines[3] == f"ead p=2 t=1.0 L=2 {digest} {l2_error(sol, problem)!r} lu None {pattern}"

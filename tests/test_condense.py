@@ -12,7 +12,6 @@ from igaplate.condense import (
     SolveConfig,
     build_transforms,
     condense,
-    pg_shear_rows_elementwise,
     pg_transform,
     prepare_problem,
     recover_shear,
@@ -23,6 +22,7 @@ from igaplate.duals import DualTransform2D, dual_transform_1d, dual_transform_2d
 from igaplate.multipatch import assemble_multipatch
 from igaplate.plate import PatchDiscretization, apply_clamped_bc, assemble
 from igaplate.sparse import solve_direct
+from oracles import pg_shear_rows_elementwise
 
 
 def _weighted_system(geometry="undistorted", p=2, level=1, t=0.1, shear_weighting="nurbs"):

@@ -462,20 +462,52 @@ def test_primal_parts_store_no_zeros(geometry):
     assert bending[:n].nnz == bending[:, :n].nnz == 0
 
 
+def _all_blocks(geometry, p, level, variant="ead", load=None):
+    """A catalog cell's mixed and primal blocks, named as in oracles.coo_blocks, and both loads."""
+    from igaplate.condense import SolveConfig, prepare_problem
+    from igaplate.multipatch import assemble_multipatch
+
+    cfg = SolveConfig(variant=variant, degree=p, level=level, thickness=0.1)
+    ctx = prepare_problem(geometry_catalog(geometry), cfg)
+    mat = cfg.make_material()
+    system = assemble_multipatch(ctx.refined, ctx.discs, mat, cfg.scheme, load)
+    shear, bending, quad, _ = assemble_primal_multipatch(ctx.refined, ctx.discs, mat)
+    blocks = {"k_dd": system.k_dd, "shear": shear, "bending": bending}
+    for name in ("k_ds1", "k_ds2", "k_s1d", "k_s2d", "k_s11", "k_s22"):
+        for patch, block in enumerate(getattr(system, name)):
+            blocks[f"{name}[{patch}]"] = block
+    return blocks, (system.f_d, quad.vector(load)), ctx, mat, cfg.scheme
+
+
+@pytest.mark.parametrize(
+    "geometry, p, level", [("c0_single", 3, 2), ("mp_various", 3, 1), ("nurbs_distorted", 2, 2)]
+)
+@pytest.mark.parametrize("variant", ["mxd", "ead"])
+def test_blocks_match_the_coo_reference(geometry, p, level, variant):
+    from oracles import coo_blocks
+
+    blocks, _, ctx, mat, scheme = _all_blocks(geometry, p, level, variant)
+    ref = coo_blocks(ctx.refined, ctx.discs, mat, scheme)
+    assert blocks.keys() == ref.keys()
+    for name, block in blocks.items():
+        assert np.all(block.data != 0.0) and block.has_canonical_format, name
+        scale = np.abs(ref[name].data).max()
+        assert np.abs((block - ref[name]).data).max(initial=0.0) <= 1e-14 * scale, name
+
+
 def test_chunk_size_changes_no_block(monkeypatch):
     import igaplate.plate as plate
-
-    disc = _disc(p=2, level=3, geometry="nurbs_distorted")  # 64 elements
-    mat = material(10000.0, 0.3, 0.1)
 
     def load(x, y):
         return 1.0 + x * y
 
-    whole = assemble(disc, mat, "weighted", load)
+    cells = [("nurbs_distorted", 2, 3), ("mp_various", 3, 1)]  # 64 elements; 2 x 16 elements
+    whole = [_all_blocks(*cell, load=load)[:2] for cell in cells]
     monkeypatch.setattr(plate, "CHUNK", 5)
-    parts = assemble(disc, mat, "weighted", load)
-    for name in ("k_dd", "k_ds1", "k_ds2", "k_s1d", "k_s2d", "k_s11", "k_s22"):
-        a, b = getattr(whole, name), getattr(parts, name)
-        a, b = (a, b) if name == "k_dd" else (a[0], b[0])
-        assert (a != b).nnz == 0
-    assert np.array_equal(whole.f_d, parts.f_d)
+    for cell, (blocks, loads) in zip(cells, whole):
+        parts, part_loads = _all_blocks(*cell, load=load)[:2]
+        for name, a in blocks.items():
+            b = parts[name]
+            assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices), name
+            assert np.array_equal(a.data, b.data), name
+        assert all(np.array_equal(f, g) for f, g in zip(loads, part_loads))

@@ -35,6 +35,7 @@ def _solve(args) -> int:
         "n_dof_mixed": d["n_dof_mixed"],
         "n_dof_solved": d["n_dof_solved"],
         "nnz_solved": d["nnz_solved"],
+        "bandwidth": d["bandwidth"],
         "assembly_s": d["assembly_s"],
         "factor_s": d["factor_s"],
         "solve_s": d["solve_s"],

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .duals import (
     DimensionMismatch,
@@ -40,7 +41,7 @@ from .plate import (
     free_dofs,
     material,
 )
-from .sparse import DirectSolver, KrylovSolver, nnz_and_bandwidth
+from .sparse import DirectSolver, KrylovSolver, bandwidth_of_sum, nnz_and_bandwidth
 from .splines import SurfacePatch
 
 
@@ -225,19 +226,31 @@ def row_sum_lump(block, require_positive: bool = False) -> tuple[np.ndarray, flo
     return diag, dev
 
 
+def shear_part(coupling: list, recovery: list) -> sp.csr_matrix:
+    """sum_a K_dSa X_a, patch by patch and S1 before S2: the one place the product is formed."""
+    shear = None
+    for pair, ops in zip(coupling, recovery):
+        for k_ds, x in zip(pair, ops):
+            part = k_ds @ x
+            shear = part if shear is None else shear + part
+    return shear.tocsr()
+
+
 @dataclass
 class CondensedSystem:
     """Displacement-only system with per-patch shear recovery operators.
 
-    The condensed matrix K_dd - sum_a K_dSa X_a is kept as its bending part
-    K_dd and its shear part sum_a K_dSa X_a.  Every X_a is proportional to
-    kappa*G*t, so parts condensed from unit material scalars give the
-    matrix of any thickness divided by D as K_dd - (kappa*G*t / D) * shear
-    part (see ThicknessFreeParts).
+    The condensed matrix K_dd - sum_a K_dSa X_a is kept as its parts: the
+    bending part K_dd and, per patch, the couplings K_dSa next to the X_a.
+    The shear part sum_a K_dSa X_a is formed only when k_shear or k_cond is
+    read, afresh on every read.  Every X_a is proportional to kappa*G*t, so
+    parts condensed from unit material scalars give the matrix of any
+    thickness divided by D as K_dd - (kappa*G*t / D) * shear part (see
+    ThicknessFreeParts).
     """
 
     k_dd: sp.csr_matrix
-    k_shear: sp.csr_matrix
+    coupling: list  # per patch: (K_dS1, K_dS2)
     f_d: np.ndarray
     recovery: list  # per patch: (X1, X2); shear recovery S_a = -X_a @ d
     mode: str  # 'identity' | 'diagonal' | 'schur'
@@ -248,8 +261,48 @@ class CondensedSystem:
         return self.k_dd.shape[0]
 
     @property
+    def k_shear(self) -> sp.csr_matrix:
+        return shear_part(self.coupling, self.recovery)
+
+    @property
     def k_cond(self) -> sp.csr_matrix:
         return (self.k_dd - self.k_shear).tocsr()
+
+
+class CondensedOperator(spla.LinearOperator):
+    """v -> K_dd v + c sum_a K_dSa (X_a v): a condensed pencil matrix applied from its parts.
+
+    Applies ThicknessFreeParts.matrix_at(mat) of lmp/ad/ead, K_dd + c *
+    shear part with c = scale(mat), without forming it; rmatvec applies its
+    transpose.  Its stored-entry count and bandwidth are read from the
+    parts (see nnz_and_bandwidth).  The operator holds the parts it was
+    made from, so they live as long as it does.
+    """
+
+    def __init__(self, parts: "ThicknessFreeParts", mat):
+        super().__init__(float, parts.fixed.shape)
+        self.parts, self.mat = parts, mat
+        self.k_dd, self.c = parts.fixed, parts.scale(mat)
+        cond = parts.cond
+        self.pairs = [pq for pair, ops in zip(cond.coupling, cond.recovery) for pq in zip(pair, ops)]
+
+    def formed(self) -> sp.csr_matrix:
+        """The matrix applied, formed: matrix_at(mat) of the parts it was made from."""
+        return self.parts.matrix_at(self.mat)
+
+    def _matvec(self, v):
+        return self.k_dd @ v + self.c * sum(k_ds @ (x @ v) for k_ds, x in self.pairs)
+
+    def _rmatvec(self, v):
+        return self.k_dd.T @ v + self.c * sum(x.T @ (k_ds.T @ v) for k_ds, x in self.pairs)
+
+    def nnz_and_bandwidth(self) -> tuple[int, int]:
+        """Entries stored by the parts applied, and the formed matrix's bandwidth chained through them.
+
+        An exact count of the formed matrix would cost as much as forming it.
+        """
+        nnz = self.k_dd.nnz + sum(k_ds.nnz + x.nnz for k_ds, x in self.pairs)
+        return nnz, bandwidth_of_sum(self.k_dd, self.pairs)
 
 
 def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
@@ -264,7 +317,6 @@ def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
     Unlumped condensation factorises each shear block (the expensive exact
     Schur complement).
     """
-    shear = None
     recovery = []
     dev = 0.0
     mode = "schur"
@@ -289,12 +341,9 @@ def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
                     raise SingularShearBlock(str(exc)) from exc
             ops.append(x)
         recovery.append(tuple(ops))
-        for k_ds, x in zip((system.k_ds1[p], system.k_ds2[p]), ops):
-            part = k_ds @ x
-            shear = part if shear is None else shear + part
     return CondensedSystem(
         k_dd=system.k_dd,
-        k_shear=shear.tocsr(),
+        coupling=list(zip(system.k_ds1, system.k_ds2)),
         f_d=system.f_d.copy(),
         recovery=recovery,
         mode=mode,
@@ -388,6 +437,12 @@ class ThicknessFreeParts:
       mxd           the saddle without its shear-shear blocks + (D/kGt) *
                     those blocks; its shear unknowns are scaled by 1/D and
                     its shear rows keep their right-hand side of 0
+
+    For lmp/ad/ead the shear part is kept as its factors in `cond`, and
+    `scaled` is None until matrix_at first forms it; the level's later
+    formed matrices reuse it.  operator_at applies the pencil from the
+    factors instead (see CondensedOperator), so a level that GMRES solves
+    never forms the product.
     """
 
     ctx: ProblemContext
@@ -395,7 +450,7 @@ class ThicknessFreeParts:
     quadrature: LoadQuadrature | None
     fixed: sp.csr_matrix | None
     scaled: sp.csr_matrix | None
-    cond: CondensedSystem | None = None  # lmp/ad/ead: recovery operators and lump diagnostics
+    cond: CondensedSystem | None = None  # lmp/ad/ead: couplings, recovery operators, lump diagnostics
     penalty: sp.csr_matrix | None = None  # primal shear penalty, assembled on first use
 
     def scale(self, mat) -> float:
@@ -415,11 +470,27 @@ class ThicknessFreeParts:
         n = len(self.free)
         return (self.fixed[:n, :n] + _ratio(mat) * self.penalty).tocsc()
 
-    def system_at(self, mat, load=None) -> tuple:
-        """Matrix and right-hand side of mat's system, nondimensionalised by D."""
+    def matrix_at(self, mat) -> sp.csr_matrix:
+        """Matrix of mat's system divided by D, formed."""
+        if self.scaled is None:  # lmp/ad/ead: form the shear part once, on first use
+            self.scaled = self.cond.k_shear
+        return (self.fixed + self.scale(mat) * self.scaled).tocsr()
+
+    def operator_at(self, mat):
+        """matrix_at(mat) for a Krylov solve; for lmp/ad/ead a CondensedOperator, not formed."""
+        if self.cond is None:
+            return self.matrix_at(mat)
+        return CondensedOperator(self, mat)
+
+    def rhs_at(self, mat, load=None) -> np.ndarray:
+        """Right-hand side of mat's system divided by D."""
         f = np.zeros(self.fixed.shape[0])
         f[: len(self.free)] = self.quadrature.vector(load)[self.free] / mat.bending_stiffness
-        return (self.fixed + self.scale(mat) * self.scaled).tocsr(), f
+        return f
+
+    def system_at(self, mat, load=None) -> tuple:
+        """Matrix and right-hand side of mat's system, nondimensionalised by D."""
+        return self.matrix_at(mat), self.rhs_at(mat, load)
 
     def split(self, x: np.ndarray, mat) -> tuple:
         """The free d DOFs and per-patch shear (S1, S2), None for std, of system_at(mat)'s answer x."""
@@ -455,8 +526,8 @@ def build_parts(assembly, config: SolveConfig) -> ThicknessFreeParts:
     if config.variant in ("ad", "ead"):
         system = pg_transform(system, *build_transforms(ctx))
     cond = condense(system, lumped=True)
-    recovery = replace(cond, k_dd=None, k_shear=None, f_d=None)
-    return ThicknessFreeParts(ctx, system.free_d, system.quadrature, cond.k_dd, cond.k_shear, recovery)
+    factors = replace(cond, k_dd=None, f_d=None)  # couplings, recovery operators, diagnostics
+    return ThicknessFreeParts(ctx, system.free_d, system.quadrature, cond.k_dd, None, factors)
 
 
 def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list:
@@ -464,10 +535,12 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
 
     Returns, per thickness, its VariantSolution or the exception its solve
     raised; an exception of the build is returned for every thickness.  The
-    build time is charged to the first thickness's assembly_s.  Once the
-    last thickness's system is formed, the parts' matrices and load
-    quadrature are dropped, so they do not share the memory peak of its
-    factorisation.
+    build time is charged to the first thickness's assembly_s.  At the
+    last thickness the load quadrature and the primal shear penalty are
+    dropped before its matrix is formed, and the parts' matrices once it
+    is, so they share neither the memory peak of forming it nor that of
+    its factorisation; a condensed operator (below) holds its own parts
+    through its solve.
 
     All variants share one factorisation and one solve of the
     nondimensional system.  A mixed or condensed system with at least
@@ -476,8 +549,11 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     GMRES_MAX_SLENDERNESS_MXD and _LMP) and no condition estimate asked for
     is first solved by GMRES preconditioned with the LU of the
     primal matrix on the same DOFs (mxd: in a block triangle with the shear
-    block, see KrylovSolver); if that answer misses the Krylov gates, the
-    matrix is factorised directly as for every other system.  Every
+    block, see KrylovSolver).  GMRES applies a condensed (lmp/ad/ead)
+    matrix from its parts (ThicknessFreeParts.operator_at), so the shear
+    part sum_a K_dSa X_a is formed only for a direct factorisation.  If the
+    Krylov answer misses the Krylov gates, the matrix is formed and
+    factorised directly as for every other system.  Every
     thickness's matrix has the stored pattern of the one build, so the
     column order of the first direct factorisation serves every later one
     (see DirectSolver) and COLAMD runs once per call; a matrix dense enough
@@ -517,9 +593,14 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                     and mesh_slenderness(ctx, mat) <= bound
                 ):
                     primal = parts.primal(mat)  # before the matrix: a first build peaks in memory
-                matrix, rhs = parts.system_at(mat, load)
-                if i == len(thicknesses) - 1:  # the answer split needs none of these
-                    parts = replace(parts, quadrature=None, fixed=None, scaled=None, penalty=None)
+                rhs = parts.rhs_at(mat, load)
+                last = i == len(thicknesses) - 1
+                if last:  # the primal matrix and the load vector are built
+                    parts = replace(parts, quadrature=None, penalty=None)
+                matrix = parts.matrix_at(mat) if primal is None else parts.operator_at(mat)
+                if last:  # split reads none of the matrices; an operator holds its own
+                    cond = None if parts.cond is None else replace(parts.cond, coupling=None)
+                    parts = replace(parts, fixed=None, scaled=None, cond=cond)
 
                 t1 = time.perf_counter()
                 x, iterations = None, None
@@ -531,15 +612,17 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                     iterations = solver.iterations
                 if x is None:
                     solver = None  # a rejected Krylov answer: free the primal factor first
+                    if not sp.issparse(matrix):
+                        matrix = matrix.formed()
                     solver = DirectSolver(matrix, column_order)
-                    if column_order is None and i < len(thicknesses) - 1:
+                    if column_order is None and not last:
                         column_order = solver.column_order()
                     t2 = time.perf_counter()
                     x = solver.solve(rhs)
                 t3 = time.perf_counter()
                 d_free, shear = parts.split(x, mat)
 
-                nnz, band = nnz_and_bandwidth(matrix)
+                nnz, band = nnz_and_bandwidth(matrix) if sp.issparse(matrix) else matrix.nnz_and_bandwidth()
                 diagnostics.update(
                     {
                         "n_dof_primal": int(len(free)),

@@ -36,6 +36,21 @@ def _inf_norm(a: sp.csr_matrix | sp.csc_matrix) -> float:
     return float(np.add.reduceat(np.abs(a.data), starts).max())
 
 
+def _inf_norm_estimate(a: spla.LinearOperator) -> float:
+    """A lower bound of ||A||_inf = ||A^T||_1 from A's products alone.
+
+    One block-1 sweep of Higham's estimator (onenormest with t=1) starts
+    from the vector of ones and draws no random numbers, so it is
+    reproducible.  Every estimate is ||A^T v||_1 / ||v||_1 of an actual v,
+    so it never exceeds the norm; it is shrunk by n eps, the round-off of
+    summing a row in another order than _inf_norm does, so it never exceeds
+    _inf_norm of the formed matrix either.  A residual gate that reads it
+    is never looser than one that reads the exact norm.
+    """
+    n = a.shape[0]
+    return float(spla.onenormest(a.T, t=1)) * (1.0 - n * np.finfo(float).eps)
+
+
 def _residual_and_bound(a, x, b, tol: float, norm_a: float) -> tuple[float, float]:
     """||Ax - b|| and the bound tol (||A|| ||x|| + ||b||) it must not exceed."""
     resid = np.linalg.norm(a @ x - b)
@@ -200,20 +215,28 @@ class KrylovSolver:
     [[M, B], [0, C]], with C factorised by SuperLU's default LU.  With the
     exact Schur complement as M, GMRES converges in at most two iterations.
 
+    A may also be a square LinearOperator with matvec and rmatvec, which
+    GMRES applies without a matrix ever being formed.
+
     One solve runs a single cycle of at most GMRES_RESTART iterations from
     x0 = 0, so it is deterministic; it stops early once the preconditioned
     residual has fallen by KRYLOV_GATE.  An answer is returned only if the
     cycle stopped before its last iteration and
     ||Ax - b|| <= KRYLOV_GATE (||A|| ||x|| + ||b||) in the infinity norm of
     A, the gate of DirectSolver; otherwise solve() returns None and the caller
-    decides how to solve instead.  A cycle that needs every iteration has
-    not converged, and its answer can pass the residual gate while far off
-    the LU answer (1.1e-9 relative on c0_single lmp p=3 L3 t=1e-2).
+    decides how to solve instead.  For an operator ||A||_inf is a lower
+    bound (_inf_norm_estimate), so its gate is never looser.  A cycle that
+    needs every iteration has not converged, and its answer can pass the
+    residual gate while far off the LU answer (1.1e-9 relative on c0_single
+    lmp p=3 L3 t=1e-2).
     """
 
     def __init__(self, a, m):
-        self.a = sp.csr_matrix(a, dtype=float)
-        self.norm_a = _inf_norm(self.a)
+        if isinstance(a, spla.LinearOperator):
+            self.a, self.norm_a = a, _inf_norm_estimate(a)
+        else:
+            self.a = sp.csr_matrix(a, dtype=float)
+            self.norm_a = _inf_norm(self.a)
         self.iterations = 0
         n = m.shape[0]
         try:
@@ -266,16 +289,50 @@ def solve_direct(a, b: np.ndarray) -> np.ndarray:
     return DirectSolver(a).solve(b)
 
 
+def _index_range(a, lo: np.ndarray | None = None, hi: np.ndarray | None = None) -> tuple:
+    """Per row of a CSR matrix (CSC: per column), the least and largest index it stores.
+
+    Given lo and hi, the least lo[j] and largest hi[j] over its stored
+    indices j instead.  A row that stores none gets the largest integer and
+    -1.  Reads the index arrays as stored, so they need not be sorted.
+    """
+    n_major = len(a.indptr) - 1
+    out_lo, out_hi = np.full(n_major, np.iinfo(np.intp).max), np.full(n_major, -1)
+    rows = np.flatnonzero(np.diff(a.indptr))
+    if len(rows):
+        starts = a.indptr[rows]
+        out_lo[rows] = np.minimum.reduceat(a.indices if lo is None else lo[a.indices], starts)
+        out_hi[rows] = np.maximum.reduceat(a.indices if hi is None else hi[a.indices], starts)
+    return out_lo, out_hi
+
+
+def _band(lo: np.ndarray, hi: np.ndarray) -> int:
+    """Max |row-col| over rows whose least and largest stored columns are lo and hi."""
+    rows = np.flatnonzero(hi >= 0)
+    if not len(rows):
+        return 0
+    return int(max((rows - lo[rows]).max(), (hi[rows] - rows).max()))
+
+
+def bandwidth_of_sum(a: sp.csr_matrix, products) -> int:
+    """Max |row-col| over the pattern of a + sum of b @ c over the pairs (b, c) in products.
+
+    Chains each row's least and largest stored column through b and c in
+    O(nnz), so no product is formed.  The formed sum can only be narrower,
+    where an extreme entry cancels to exactly zero and is dropped.
+    """
+    lo, hi = _index_range(a.tocsr())
+    for b, c in products:
+        b_lo, b_hi = _index_range(b.tocsr(), *_index_range(c.tocsr()))
+        np.minimum(lo, b_lo, out=lo)
+        np.maximum(hi, b_hi, out=hi)
+    return _band(lo, hi)
+
+
 def nnz_and_bandwidth(a: sp.csr_matrix | sp.csc_matrix) -> tuple[int, int]:
     """Stored entry count and max |row-col| over the stored entries.
 
     Read from the index arrays as stored, with no copy of the matrix; the
     indices need not be sorted and are left as they are (see _inf_norm).
     """
-    if a.nnz == 0:
-        return 0, 0
-    major = np.flatnonzero(np.diff(a.indptr))  # rows (CSC: columns) with entries
-    starts = a.indptr[major]
-    lo = np.minimum.reduceat(a.indices, starts)
-    hi = np.maximum.reduceat(a.indices, starts)
-    return int(a.nnz), int(max((major - lo).max(), (hi - major).max()))
+    return int(a.nnz), _band(*_index_range(a))

@@ -546,8 +546,10 @@ def test_cli_solve_and_convergence(tmp_path, capsys):
     assert summary["l2_error"] > 0
     assert summary["solver"] == "lu"
     assert summary["iterations"] is None  # GMRES was not tried
+    assert summary["bandwidth"] > 0
     printed = capsys.readouterr().out
     assert "solver = lu" in printed and "iterations = None" in printed
+    assert f"bandwidth = {summary['bandwidth']}" in printed
     # a large mxd cell takes GMRES, and the summary carries its iteration count
     args = ["solve", "--geometry", "c0_single", "--variant", "mxd", "--degree", "3", "--level", "3"]
     assert main(args + ["--thickness", "1", "--out", str(out)]) == 0

@@ -460,11 +460,14 @@ def test_solve_thicknesses_shares_one_build_and_frees_it(monkeypatch, geometry, 
 
     module, calls = _count_primal_builds(monkeypatch)
     build, direct, krylov = module.build_parts, module.DirectSolver, module.KrylovSolver
-    built, alive = [], []
+    built, recovery, alive = [], [], []
 
     def capturing_build(assembly, config):
         parts = build(assembly, config)
-        built.extend(weakref.ref(m) for m in (parts, parts.quadrature, parts.fixed, parts.scaled))
+        # the parts, their load quadrature, K_dd and every K_dSa; then every X_a
+        couplings = [k for pair in parts.cond.coupling for k in pair]
+        built.extend(weakref.ref(m) for m in (parts, parts.quadrature, parts.fixed, *couplings))
+        recovery.extend(weakref.ref(x) for ops in parts.cond.recovery for x in ops)
         return parts
 
     def checking(solver_class):
@@ -488,8 +491,14 @@ def test_solve_thicknesses_shares_one_build_and_frees_it(monkeypatch, geometry, 
     assert first.d_full.tobytes() == second.d_full.tobytes()
     assert [s.tobytes() for s in first.shear[0]] == [s.tobytes() for s in second.shear[0]]
     assert calls == ([1] if solver == "gmres" else [])
-    # the parts are alive while the first thickness factorises, gone for the last
-    assert alive == [[True] * 4, [False] * 4]
+    # everything is alive while the first thickness solves; for the last, the
+    # parts and the quadrature are gone, and so are K_dd and the K_dSa before
+    # a factorisation, while GMRES applies them to its last solve
+    assert len(built) == 5 and len(recovery) == 2
+    operator = [solver == "gmres"] * 3
+    assert alive == [[True] * 5, [False, False, *operator]]
+    # and no result keeps any matrix of the build
+    assert [ref() for ref in built + recovery] == [None] * 7
 
 
 @pytest.mark.parametrize("geometry", ["nurbs_distorted", "mp_various"])
@@ -596,6 +605,62 @@ def test_large_condensed_system_is_solved_by_gmres_on_the_primal_factor(monkeypa
         assert np.linalg.norm(d - d_lu) <= 1e-10 * np.linalg.norm(d_lu)
 
 
+def _count_shear_products(monkeypatch):
+    """Patch condense's one product sum_a K_dSa X_a to record each call; returns the record."""
+    import importlib
+
+    module = importlib.import_module("igaplate.condense")
+    calls = []
+    product = module.shear_part
+
+    def counting(*args):
+        calls.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(module, "shear_part", counting)
+    return calls
+
+
+def test_gmres_applies_the_condensed_matrix_without_forming_it(monkeypatch):
+    # the GMRES path needs the condensed matrix only through products, so the
+    # shear part sum_a K_dSa X_a is never formed
+    pa = geometry_catalog("c0_single")
+    cfg = SolveConfig(variant="ead", degree=3, level=3, thickness=1.0)
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    products = _count_shear_products(monkeypatch)
+    sol = solve_variant(pa, cfg, load=load)
+    monkeypatch.undo()
+
+    diag = sol.diagnostics
+    assert diag["solver"] == "gmres" and 0 < diag["iterations"] < 60
+    assert products == []
+    _, _, cond = _condensed(pa, cfg, load)
+    d_lu = solve_direct(cond.k_cond, cond.f_d)
+    d = sol.d_full[sol.free_d]
+    assert np.linalg.norm(d - d_lu) <= 1e-10 * np.linalg.norm(d_lu)
+    # nnz_solved counts the parts applied: K_dd, every K_dSa and every X_a
+    parts = cond.parts.cond
+    applied = [cond.parts.fixed, *(m for pairs in parts.coupling + parts.recovery for m in pairs)]
+    assert len(applied) == 5
+    assert diag["nnz_solved"] == sum(m.nnz for m in applied) < cond.k_cond.nnz
+
+
+@pytest.mark.parametrize(("geometry", "level"), [("c0_single", 3), ("mp_various", 2)])
+def test_the_condensed_operator_is_the_formed_matrix(geometry, level):
+    # products with the operator and its transpose match the formed matrix,
+    # and its bandwidth, chained through the parts, is the formed one's
+    from igaplate.sparse import nnz_and_bandwidth
+
+    cfg = SolveConfig(variant="ead", degree=3, level=level, thickness=1e-2)
+    _, mat, cond = _condensed(geometry_catalog(geometry), cfg, lambda x, y: np.ones_like(x))
+    operator = cond.parts.operator_at(mat)
+    matrix = cond.k_cond
+    assert operator.nnz_and_bandwidth()[1] == nnz_and_bandwidth(matrix)[1]
+    v = np.random.default_rng(0).standard_normal(matrix.shape[0])
+    for applied, formed in ((operator @ v, matrix @ v), (operator.T @ v, matrix.T @ v)):
+        assert np.linalg.norm(applied - formed) <= 1e-13 * np.linalg.norm(formed)
+
+
 def test_rejected_krylov_answer_falls_back_to_the_direct_solve(monkeypatch):
     import importlib
 
@@ -606,11 +671,15 @@ def test_rejected_krylov_answer_falls_back_to_the_direct_solve(monkeypatch):
     monkeypatch.setattr(importlib.import_module("igaplate.condense"), "GMRES_MAX_SLENDERNESS_LMP", np.inf)
     pa = geometry_catalog("c0_single")
     load = lambda x, y: np.ones_like(x)  # noqa: E731
+    products = _count_shear_products(monkeypatch)
     # lmp needs all 60 iterations here; at t=1e-2 their answer passes the
-    # residual gate but is 1.1e-9 off the LU answer, so it must be rejected
+    # residual gate but is 1.1e-9 off the LU answer, so it must be rejected;
+    # only then is the shear part formed, once, for the LU
     for t in (1.0, 1e-2):
         cfg = SolveConfig(variant="lmp", degree=3, level=3, thickness=t)
+        products.clear()
         sol = solve_variant(pa, cfg, load=load)
+        assert products == [1]
         assert sol.diagnostics["n_dof_solved"] == 1083
         assert mesh_slenderness(sol.ctx, cfg.make_material()) <= GMRES_MAX_SLENDERNESS
         assert sol.diagnostics["solver"] == "lu"

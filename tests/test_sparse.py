@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from igaplate.sparse import (
     DENSE_SHARE,
@@ -13,6 +14,8 @@ from igaplate.sparse import (
     DirectSolver,
     KrylovSolver,
     SingularMatrix,
+    _inf_norm,
+    bandwidth_of_sum,
     nnz_and_bandwidth,
     solve_direct,
 )
@@ -224,6 +227,47 @@ def test_solvers_take_the_inf_norm_without_reordering_the_callers_matrix():
     assert krylov.norm_a == dense_norm == DirectSolver(a).norm_a == 7.0
     assert np.array_equal(a.indices, indices) and np.array_equal(a.data, data)
     assert not a.has_sorted_indices
+
+
+def test_the_gate_norm_of_an_operator_is_at_most_the_inf_norm_of_its_matrix():
+    # GMRES on an operator gates its answer with a norm estimate that never
+    # exceeds the exact norm of the matrix the operator applies, so its gate
+    # is never looser; the estimate draws no random numbers
+    rng = np.random.default_rng(11)
+    n = 120
+    lap = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -2.0 * np.ones(n - 1)], [-1, 0, 1], format="csr")
+    heavy = lap.tolil()
+    heavy[n // 3, :] = rng.standard_normal(n)  # one dense row holds the norm
+    matrices = [lap, heavy.tocsr()]
+    for _ in range(4):
+        matrices.append((sp.random(n, n, density=0.05, random_state=rng) + 6 * sp.identity(n)).tocsr())
+    b = rng.standard_normal(n)
+    for a in matrices:
+        krylov = KrylovSolver(spla.aslinearoperator(a), lap)
+        assert 0 < krylov.norm_a <= _inf_norm(a)
+        assert KrylovSolver(spla.aslinearoperator(a), lap).norm_a == krylov.norm_a
+        x = krylov.solve(b)
+        assert x is not None
+        assert np.linalg.norm(x - solve_direct(a, b)) <= 1e-12 * np.linalg.norm(x)
+    # the estimate finds the largest row of the tridiagonal matrix, up to round-off
+    assert _inf_norm(lap) == 7.0
+    assert KrylovSolver(spla.aslinearoperator(lap), lap).norm_a >= (1 - 1e-12) * 7.0
+
+
+def test_bandwidth_of_a_sum_of_products_is_read_without_forming_them():
+    rng = np.random.default_rng(3)
+    n, m = 70, 40
+    a = sp.diags([np.ones(n - 2), np.ones(n), np.ones(n - 3)], [-2, 0, 3], format="csr")
+    pairs = []
+    for _ in range(2):
+        b = sp.random(n, m, density=0.03, random_state=rng, format="csr")
+        c = sp.random(m, n, density=0.03, random_state=rng, format="csr")
+        pairs.append((b, c))
+        formed = a + sum(b @ c for b, c in pairs)
+        assert bandwidth_of_sum(a, pairs) == nnz_and_bandwidth(formed.tocsr())[1]
+    empty = sp.csr_matrix((n, n))
+    assert bandwidth_of_sum(empty, []) == 0
+    assert bandwidth_of_sum(empty, pairs[:1]) == nnz_and_bandwidth((pairs[0][0] @ pairs[0][1]).tocsr())[1]
 
 
 def _same_pattern_pair(n=60, seed=5):

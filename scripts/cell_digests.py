@@ -4,7 +4,8 @@
 Runs `bench.run_convergence_study` with the given study settings and prints,
 per cell in record order: the key (variant, p, t, level), the SHA-256 of
 `d_full`, the `repr` of the L2 error, the solver, the GMRES iteration
-count, `nnz_condensed` and the `repr` of `lump_dev`.  A failed cell prints
+count, the LU fill (`lu_fill`), `nnz_condensed` and the `repr` of
+`lump_dev`.  A failed cell prints
 the name of its exception instead.  Two commits give the same answers and
 patterns on a study exactly when their outputs are the same, so a
 byte-identity claim is one `diff`:
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
         sol = solved[r.variant, r.p, r.t, r.level]
         digest = hashlib.sha256(sol.d_full.tobytes()).hexdigest()
         d = sol.diagnostics
-        extra = (d["solver"], d["iterations"], r.nnz_condensed, repr(r.lump_dev))
+        extra = (d["solver"], d["iterations"], d["lu_fill"], r.nnz_condensed, repr(r.lump_dev))
         print(key, digest, repr(r.l2_error), *extra)
     return 0
 

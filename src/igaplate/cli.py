@@ -36,6 +36,7 @@ def _solve(args) -> int:
         "n_dof_solved": d["n_dof_solved"],
         "nnz_solved": d["nnz_solved"],
         "bandwidth": d["bandwidth"],
+        "lu_fill": d["lu_fill"],
         "assembly_s": d["assembly_s"],
         "factor_s": d["factor_s"],
         "solve_s": d["solve_s"],

@@ -553,11 +553,7 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     matrix from its parts (ThicknessFreeParts.operator_at), so the shear
     part sum_a K_dSa X_a is formed only for a direct factorisation.  If the
     Krylov answer misses the Krylov gates, the matrix is formed and
-    factorised directly as for every other system.  Every
-    thickness's matrix has the stored pattern of the one build, so the
-    column order of the first direct factorisation serves every later one
-    (see DirectSolver) and COLAMD runs once per call; a matrix dense enough
-    for LAPACK's getrf has no column order and runs none.
+    factorised directly as for every other system (see DirectSolver).
 
     The result list is released from the frame on return: a stored
     exception's traceback keeps this frame, so a list left in it would
@@ -573,7 +569,6 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
     bounds = {"mxd": GMRES_MAX_SLENDERNESS_MXD, "lmp": GMRES_MAX_SLENDERNESS_LMP}
     bound = bounds.get(config.variant, GMRES_MAX_SLENDERNESS)
-    column_order = None  # of the first direct factorisation that has a successor
     out = []
     try:
         for i, (t, load) in enumerate(zip(thicknesses, loads, strict=True)):
@@ -614,9 +609,7 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                     solver = None  # a rejected Krylov answer: free the primal factor first
                     if not sp.issparse(matrix):
                         matrix = matrix.formed()
-                    solver = DirectSolver(matrix, column_order)
-                    if column_order is None and not last:
-                        column_order = solver.column_order()
+                    solver = DirectSolver(matrix)
                     t2 = time.perf_counter()
                     x = solver.solve(rhs)
                 t3 = time.perf_counter()
@@ -636,6 +629,7 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                         "lump_dev": None if parts.cond is None else parts.cond.lump_dev,
                         "solver": "gmres" if isinstance(solver, KrylovSolver) else "lu",
                         "iterations": iterations,
+                        "lu_fill": solver.lu_fill,
                     }
                 )
                 if cfg.estimate_condition:

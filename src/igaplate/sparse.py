@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 
@@ -58,41 +57,16 @@ def _residual_and_bound(a, x, b, tol: float, norm_a: float) -> tuple[float, floa
     return resid, max(bound, 1e-300)
 
 
-def _pattern_digest(a: sp.csc_matrix) -> bytes:
-    """SHA-256 of a CSC matrix's stored pattern: its indptr, then its indices."""
-    digest = hashlib.sha256(a.indptr)
-    digest.update(a.indices)
-    return digest.digest()
-
-
-@dataclass(frozen=True)
-class ColumnOrder:
-    """The fill-reducing column order of one COLAMD factorisation and the pattern it was made for.
-
-    SuperLU factorises A Pc = A[:, order] with order = argsort(perm_c): column
-    j of the factorised matrix is column order[j] of A (A[:, perm_c] is the
-    inverse permutation, and fills far more).  COLAMD reads only the stored
-    pattern, so the order serves every matrix with the same indptr and
-    indices.  The pattern is kept as its SHA-256 digest, so no index array
-    stays alive from one factorisation to the next.
-    """
-
-    pattern: bytes  # _pattern_digest of the matrix factorised
-    order: np.ndarray
-
-    def fits(self, a: sp.csc_matrix) -> bool:
-        return _pattern_digest(a) == self.pattern
-
-
 class DenseLU:
     """LAPACK getrf factor P A = L U of a square CSC matrix, held as one dense array.
 
     Offers the part of SuperLU's interface DirectSolver and its readers use:
-    shape, solve(b, trans) and the factors L (unit diagonal stored) and U
-    as sparse matrices, built on first use.  The matrix is expanded once
-    into a Fortran-ordered array that getrf overwrites with the factor, so
-    the factor is the only n x n array made until L or U is read.  Raises
-    SingularMatrix on an exact zero pivot.
+    shape, nnz (here the n^2 entries the factor stores), solve(b, trans)
+    and the factors L (unit diagonal stored) and U as sparse matrices,
+    built on first use.  The matrix is expanded once into a Fortran-ordered
+    array that getrf overwrites with the factor, so the factor is the only
+    n x n array made until L or U is read.  Raises SingularMatrix on an
+    exact zero pivot.
     """
 
     def __init__(self, a: sp.csc_matrix):
@@ -101,6 +75,7 @@ class DenseLU:
         if info > 0:
             raise SingularMatrix(f"exact zero pivot in column {info - 1}")
         self._lu = lu
+        self.nnz = lu.size
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         x, _ = lapack.dgetrs(self._lu, self._piv, b, trans={"N": 0, "T": 1}[trans])
@@ -117,73 +92,126 @@ class DenseLU:
         return sp.csc_matrix(np.triu(self._lu))
 
 
+def rcm_band(a: sp.csc_matrix) -> tuple[np.ndarray, int, int]:
+    """Reverse Cuthill-McKee order of A's symmetrised pattern, and kl, ku of A in that order.
+
+    perm orders rows and columns alike: B = A[perm][:, perm].  kl and ku
+    are B's numbers of sub- and superdiagonals, taken apart because A's
+    pattern need not be symmetric, and read per column of A with no
+    permuted copy made.
+    """
+    pattern = sp.csc_matrix((np.ones(a.nnz, dtype=np.int8), a.indices, a.indptr), shape=a.shape)
+    perm = csgraph.reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm), dtype=perm.dtype)
+    lo, hi = _index_range(a, inv, inv)  # per column of A, its least and largest row of B
+    cols = np.flatnonzero(hi >= 0)
+    return perm, int(np.max(hi[cols] - inv[cols], initial=0)), int(np.max(inv[cols] - lo[cols], initial=0))
+
+
+class BandLU:
+    """LAPACK gbtrf factor P B = L U of B = A[perm][:, perm], held as one band.
+
+    perm, kl and ku are those of rcm_band.  A is scattered from its CSC
+    arrays straight into the Fortran-ordered (2 kl + ku + 1, n) band that
+    gbtrf overwrites with the factor: B's entry (i, j) in row kl + ku + i - j
+    of column j, the first kl rows left for the fill of pivoting.  No
+    permuted copy of A is made.  Offers DenseLU's interface: shape, nnz
+    (the entries the band stores), solve(b, trans), which applies perm on
+    both sides so that it solves with A, and B's factors L and U, built on
+    first use.  Raises SingularMatrix on an exact zero pivot.
+    """
+
+    def __init__(self, a: sp.csc_matrix, perm: np.ndarray, kl: int, ku: int):
+        n = a.shape[0]
+        self.shape, self._perm, self._kl, self._ku = a.shape, perm, kl, ku
+        self._inv = np.empty_like(perm)
+        self._inv[perm] = np.arange(n, dtype=perm.dtype)
+        rows = 2 * kl + ku + 1
+        band = np.zeros((rows, n), order="F")
+        # flat Fortran index of B's (i, j): kl + ku + i - j + j * rows
+        index = np.repeat(self._inv.astype(np.intp) * (rows - 1) + kl + ku, np.diff(a.indptr))
+        index += self._inv[a.indices]
+        np.add.at(band.ravel(order="F"), index, a.data)  # duplicates add up, as in A
+        lu, self._piv, info = lapack.dgbtrf(band, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise SingularMatrix(f"exact zero pivot in column {info - 1} of the band")
+        self._lu = lu
+        self.nnz = lu.size
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        y, _ = lapack.dgbtrs(
+            self._lu, self._kl, self._ku, b[self._perm], self._piv, trans={"N": 0, "T": 1}[trans], overwrite_b=True
+        )
+        return y[self._inv]
+
+    @cached_property
+    def L(self) -> sp.csc_matrix:
+        """Unit lower factor: gbtrf's multipliers, moved to the rows that later pivots swap them to."""
+        n, kl, multipliers = self.shape[0], self._kl, self._lu[self._kl + self._ku + 1 :]
+        rows = np.full((kl, n), n)  # n: beyond the matrix
+        final = np.arange(n)  # final[r]: where the row at position r after step j ends up
+        for j in range(n - 1, -1, -1):
+            below = final[j + 1 : j + 1 + kl]
+            rows[: len(below), j] = below
+            p = self._piv[j]
+            final[j], final[p] = final[p], final[j]
+        keep = (rows < n) & (multipliers != 0)
+        cols = np.broadcast_to(np.arange(n), rows.shape)
+        lower = sp.csc_matrix((multipliers[keep], (rows[keep], cols[keep])), shape=self.shape)
+        return lower + sp.identity(n, format="csc")
+
+    @cached_property
+    def U(self) -> sp.csc_matrix:
+        width = self._kl + self._ku  # superdiagonals of U
+        return sp.dia_matrix((self._lu[: width + 1], np.arange(width, -1, -1)), shape=self.shape).tocsc()
+
+
 class DirectSolver:
     """Factorise once, solve many; every accepted solve meets a residual bound.
 
     Handles nonsymmetric matrices.  A matrix that stores at least
-    DENSE_SHARE of its n^2 entries is factorised dense by LAPACK (DenseLU),
-    so its dense array takes at most 1/DENSE_SHARE times the stored
-    entries; any other input, dense ones included, is factorised by
-    SuperLU in CSC form.  Raises SingularMatrix if factorisation fails or
-    the residual bound ||Ax - b|| <= KRYLOV_GATE (||A|| ||x|| + ||b||) is
-    violated.
+    DENSE_SHARE of its n^2 entries is factorised dense by LAPACK getrf
+    (DenseLU), so its dense array takes at most 1/DENSE_SHARE times the
+    stored entries.  Any other matrix, dense input included, is ordered by
+    reverse Cuthill-McKee and factorised as a band by LAPACK gbtrf
+    (BandLU), unless its band would need at least n rows, when the dense
+    array is no larger and getrf takes it in its own order.
 
-    Given the ColumnOrder of an earlier factorisation whose pattern A has,
-    it factorises A[:, order] in natural order instead of running COLAMD
-    again, and maps every answer back.  SuperLU then sees the same columns
-    in the same order, so L, U, the pivots and the answers are those of a
-    fresh factorisation.  The one exception is an exact tie for the largest
-    entry of a pivot column: SuperLU breaks it in favour of the diagonal of
-    the matrix it is given, which for A[:, order] is not A's diagonal.
-    Either pivot is a largest one.  A dense factor has no column order.
+    solve() takes one step of iterative refinement, x += LU^-1 (b - A x),
+    then raises SingularMatrix if the refined residual violates
+    ||Ax - b|| <= KRYLOV_GATE (||A|| ||x|| + ||b||); the constructor raises
+    it if factorisation fails.
     """
 
-    def __init__(self, a, column_order: ColumnOrder | None = None):
+    def __init__(self, a):
         a = sp.csc_matrix(a, dtype=float)
         n = a.shape[0]
         if n != a.shape[1]:
             raise SingularMatrix("matrix must be square")
-        dense = a.nnz > 0 and a.nnz >= DENSE_SHARE * n * n
-        if dense or (column_order is not None and not column_order.fits(a)):
-            column_order = None
-        self._column_order = column_order
-        self._order = None  # set when the factor is of A[:, order]
-        if column_order is not None:
-            self._order = column_order.order
-            a = a[:, self._order]
-        self.a = a  # the matrix factorised
+        self.a = a
         self.norm_a = _inf_norm(a)  # before the factor: its scratch is freed by then
-        if dense:
+        if a.nnz > 0 and a.nnz >= DENSE_SHARE * n * n:
             self._lu = DenseLU(a)
-        else:
-            try:
-                self._lu = spla.splu(a, permc_spec="COLAMD" if self._order is None else "NATURAL")
-            except (RuntimeError, ValueError) as exc:
-                raise SingularMatrix(str(exc)) from exc
+            return
+        perm, kl, ku = rcm_band(a)
+        self._lu = DenseLU(a) if 2 * kl + ku + 1 >= n else BandLU(a, perm, kl, ku)
 
-    def column_order(self) -> ColumnOrder | None:
-        """The column order of this factor, for later matrices of A's pattern; None if dense."""
-        if self._column_order is None and not isinstance(self._lu, DenseLU):
-            self._column_order = ColumnOrder(_pattern_digest(self.a), np.argsort(self._lu.perm_c))
-        return self._column_order
-
-    def _to_columns_of_a(self, y: np.ndarray) -> np.ndarray:
-        """x with x[order] = y: an answer of A[:, order] as one of A."""
-        if self._order is None:
-            return y
-        x = np.empty_like(y)
-        x[self._order] = y
-        return x
+    @property
+    def lu_fill(self) -> int:
+        """Entries the factor stores."""
+        return int(self._lu.nnz)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        y = self._lu.solve(b)
-        if not np.all(np.isfinite(y)):
+        x = self._lu.solve(b)
+        x += self._lu.solve(b - self.a @ x)
+        if not np.all(np.isfinite(x)):
             raise SingularMatrix("solve produced non-finite entries")
-        resid, bound = _residual_and_bound(self.a, y, b, KRYLOV_GATE, self.norm_a)  # A[:, order] y = A x
+        resid, bound = _residual_and_bound(self.a, x, b, KRYLOV_GATE, self.norm_a)
         if resid > bound:
             raise SingularMatrix(f"residual {resid:.3e} exceeds bound {bound:.3e}")
-        return self._to_columns_of_a(y)
+        return x
 
     def condition_estimate(self) -> float | None:
         """1-norm condition estimate of A from the factor already made.
@@ -192,12 +220,11 @@ class DirectSolver:
         ones, which draws no random numbers, so the estimate is reproducible
         and leaves the global RNG alone.  None if the estimate fails.
         """
-        order = slice(None) if self._order is None else self._order
         try:
             op = spla.LinearOperator(
                 self.a.shape,
-                matvec=lambda b: self._to_columns_of_a(self._lu.solve(b)),
-                rmatvec=lambda b: self._lu.solve(b[order], trans="T"),
+                matvec=self._lu.solve,
+                rmatvec=lambda b: self._lu.solve(b, trans="T"),
             )
             return float(spla.norm(self.a, 1) * spla.onenormest(op, t=1))
         except Exception:
@@ -238,6 +265,7 @@ class KrylovSolver:
             self.a = sp.csr_matrix(a, dtype=float)
             self.norm_a = _inf_norm(self.a)
         self.iterations = 0
+        self._lu_c = None  # the shear block's factor, for a saddle matrix
         n = m.shape[0]
         try:
             self._lu = spla.splu(
@@ -251,6 +279,11 @@ class KrylovSolver:
                 self._lu_c = spla.splu(sp.csc_matrix(self.a[n:, n:]))
         except RuntimeError:
             self._lu = None
+
+    @property
+    def lu_fill(self) -> int:
+        """Entries the SuperLU factors store: M's, and C's for a saddle matrix."""
+        return sum(int(lu.nnz) for lu in (self._lu, self._lu_c) if lu is not None)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         """M^-1 r, or for a saddle matrix [[M, B], [0, C]]^-1 r."""

@@ -550,6 +550,7 @@ def test_cli_solve_and_convergence(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "solver = lu" in printed and "iterations = None" in printed
     assert f"bandwidth = {summary['bandwidth']}" in printed
+    assert summary["lu_fill"] > 0 and f"lu_fill = {summary['lu_fill']}" in printed
     # a large mxd cell takes GMRES, and the summary carries its iteration count
     args = ["solve", "--geometry", "c0_single", "--variant", "mxd", "--degree", "3", "--level", "3"]
     assert main(args + ["--thickness", "1", "--out", str(out)]) == 0
@@ -706,4 +707,4 @@ def test_cell_digests_script_pins_each_cell(capsys, monkeypatch):
     digest = hashlib.sha256(sol.d_full.tobytes()).hexdigest()
     d = sol.diagnostics
     pattern = f"{d['nnz_solved']} {d['lump_dev']!r}"
-    assert lines[3] == f"ead p=2 t=1.0 L=2 {digest} {l2_error(sol, problem)!r} lu None {pattern}"
+    assert lines[3] == f"ead p=2 t=1.0 L=2 {digest} {l2_error(sol, problem)!r} lu None {d['lu_fill']} {pattern}"

@@ -320,33 +320,72 @@ def test_condition_estimate_recorded_on_request():
     assert sol.diagnostics["cond_est"] >= 1.0
 
 
-def _record_factorisations(monkeypatch) -> list:
-    """The list that every SuperLU ("splu") or LAPACK ("getrf") factorisation appends its name to."""
-    import scipy.linalg.lapack as lapack
-    import scipy.sparse.linalg as spla
-
-    calls = []
-
-    def recording(name, factorise):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return factorise(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(spla, "splu", recording("splu", spla.splu))
-    monkeypatch.setattr(lapack, "dgetrf", recording("getrf", lapack.dgetrf))
-    return calls
-
-
 @pytest.mark.parametrize("variant", ["std", "mxd", "ead"])
-def test_condition_estimate_reuses_the_factorisation(variant, monkeypatch):
+def test_condition_estimate_reuses_the_factorisation(factorisations, variant):
     # factorisations of either kind count: these level-1 matrices are dense enough for getrf
-    calls = _record_factorisations(monkeypatch)
     cfg = SolveConfig(variant=variant, degree=2, level=1, thickness=0.1, estimate_condition=True)
     sol = solve_variant(geometry_catalog("undistorted"), cfg, load=lambda x, y: np.ones_like(x))
     assert sol.diagnostics["cond_est"] is not None
-    assert len(calls) == 1
+    assert len(factorisations) == 1
+
+
+@pytest.mark.parametrize(
+    ("geometry", "variant", "p", "level", "factor"),
+    [("undistorted", "ead", 2, 1, "getrf"), ("undistorted", "mxd", 2, 4, "gbtrf"), ("c0_single", "mxd", 3, 3, "splu")],
+)
+def test_lu_fill_counts_the_entries_the_factors_store(monkeypatch, geometry, variant, p, level, factor):
+    # getrf stores n^2 entries, gbtrf its (2 kl + ku + 1, n) band, SuperLU its nnz;
+    # the c0_single cell takes GMRES: its primal and shear-block LUs count
+    import scipy.linalg.lapack as lapack
+    import scipy.sparse.linalg as spla
+
+    from igaplate.sparse import BandLU, DenseLU
+
+    stored = []
+
+    def recording(name, factorise, size):
+        def wrapper(*args, **kwargs):
+            out = factorise(*args, **kwargs)
+            stored.append((name, size(out)))
+            return out
+
+        return wrapper
+
+    def unread(self):
+        raise AssertionError("a LAPACK factor's L or U was built")
+
+    monkeypatch.setattr(spla, "splu", recording("splu", spla.splu, lambda lu: lu.nnz))
+    monkeypatch.setattr(lapack, "dgetrf", recording("getrf", lapack.dgetrf, lambda out: out[0].size))
+    monkeypatch.setattr(lapack, "dgbtrf", recording("gbtrf", lapack.dgbtrf, lambda out: out[0].size))
+    for cls in (DenseLU, BandLU):
+        monkeypatch.setattr(cls, "L", property(unread))
+        monkeypatch.setattr(cls, "U", property(unread))
+    cfg = SolveConfig(variant=variant, degree=p, level=level, thickness=1.0)
+    sol = solve_variant(geometry_catalog(geometry), cfg, load=lambda x, y: np.ones_like(x))
+    d = sol.diagnostics
+    assert {name for name, _ in stored} == {factor}
+    assert d["lu_fill"] == sum(size for _, size in stored) > 0
+    if factor == "getrf":
+        assert d["lu_fill"] == d["n_dof_solved"] ** 2
+    elif factor == "splu":
+        assert d["solver"] == "gmres" and len(stored) == 2
+
+
+def test_a_thin_mxd_answer_is_within_1e_10_of_its_long_double_refinement():
+    # the factor's answer on this saddle is 1e-6 off (SuperLU's was 8e-7);
+    # the one refinement step in DirectSolver.solve brings it to about 3e-12
+    from igaplate.condense import build_parts
+    from igaplate.sparse import DirectSolver
+
+    cfg = SolveConfig(variant="mxd", degree=3, level=2, thickness=1e-4)
+    parts = build_parts(geometry_catalog("mp_various"), cfg)
+    a, b = parts.system_at(cfg.make_material(), BenchmarkProblem("mp_various", thickness=1e-4).load)
+    solver = DirectSolver(a)
+    x = solver.solve(b)
+    wide, ref = sp.csr_matrix(a, dtype=np.longdouble), x.astype(np.longdouble)
+    for _ in range(10):  # refine with long-double residuals
+        ref += solver._lu.solve((b - wide @ ref).astype(float))
+    assert np.linalg.norm(x - ref.astype(float)) <= 1e-10 * np.linalg.norm(ref.astype(float))
 
 
 def test_condition_estimate_is_reproducible_and_leaves_the_global_rng_alone():
@@ -860,41 +899,29 @@ def _assert_solved_as_alone(results, alone, estimate_condition):
 
 
 @pytest.mark.parametrize("estimate_condition", [False, True])
-def test_a_level_runs_colamd_once_and_solves_every_thickness_as_alone(monkeypatch, estimate_condition):
-    # every thickness's matrix has the pattern of the one build, so the
-    # first factorisation's column order serves the later ones, and each
-    # answer is the byte-for-byte answer of a separate solve; the mxd p2 L4
-    # saddle stores 3.6 % of n^2, so it stays on SuperLU
+def test_a_banded_level_solves_every_thickness_as_alone(factorisations, estimate_condition):
+    # the mxd p2 L4 saddle stores 3.6 % of n^2 and is a narrow band in RCM
+    # order: every thickness is factorised by gbtrf, none by SuperLU, and
+    # each answer is the byte-for-byte answer of a separate solve
     import importlib
-
-    import scipy.sparse.linalg as spla
 
     module = importlib.import_module("igaplate.condense")
     cfg = SolveConfig(variant="mxd", degree=2, level=4, thickness=1.0, estimate_condition=estimate_condition)
-    orderings = []
-    splu = spla.splu
-
-    def recording_splu(a, permc_spec=None, **kwargs):
-        orderings.append(permc_spec)
-        return splu(a, permc_spec=permc_spec, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", recording_splu)
     results, alone = _level_and_alone(module, cfg)
-    assert orderings == ["COLAMD", "NATURAL", "NATURAL"] + ["COLAMD"] * 3
+    assert factorisations == ["gbtrf"] * 6
     _assert_solved_as_alone(results, alone, estimate_condition)
 
 
 @pytest.mark.parametrize("estimate_condition", [False, True])
-def test_a_dense_level_solves_every_thickness_as_alone(monkeypatch, estimate_condition):
+def test_a_dense_level_solves_every_thickness_as_alone(factorisations, estimate_condition):
     # the ead p2 L3 condensed matrix stores more than DENSE_SHARE of n^2:
     # every thickness is factorised by getrf, none by SuperLU
     import importlib
 
     module = importlib.import_module("igaplate.condense")
     cfg = SolveConfig(variant="ead", degree=2, level=3, thickness=1.0, estimate_condition=estimate_condition)
-    calls = _record_factorisations(monkeypatch)
     results, alone = _level_and_alone(module, cfg)
-    assert calls == ["getrf"] * 6
+    assert factorisations == ["getrf"] * 6
     _assert_solved_as_alone(results, alone, estimate_condition)
 
 

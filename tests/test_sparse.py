@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 
 from igaplate.sparse import (
     DENSE_SHARE,
+    BandLU,
     DenseLU,
     DirectSolver,
     KrylovSolver,
@@ -17,6 +18,7 @@ from igaplate.sparse import (
     _inf_norm,
     bandwidth_of_sum,
     nnz_and_bandwidth,
+    rcm_band,
     solve_direct,
 )
 
@@ -121,49 +123,93 @@ def _stored_share_matrix(n, nnz, seed=7):
     return a
 
 
-def _counting_splu(monkeypatch):
-    import scipy.sparse.linalg as spla
-
-    calls, splu = [], spla.splu
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting)
-    return calls
+def _row_order(piv: np.ndarray) -> np.ndarray:
+    """The rows of P A = L U from LAPACK's 0-based pivots: row i swapped with piv[i], in turn."""
+    order = np.arange(len(piv))
+    for i, p in enumerate(piv):
+        order[[i, p]] = order[[p, i]]
+    return order
 
 
-def test_a_matrix_at_the_dense_share_is_factorised_by_getrf_like_superlu(monkeypatch):
-    import scipy.sparse.linalg as spla
-
+def test_a_matrix_at_the_dense_share_is_factorised_by_getrf_like_superlu(factorisations):
     n = 60
     a = _stored_share_matrix(n, int(np.ceil(DENSE_SHARE * n * n)))
     reference = spla.splu(a)
-    calls = _counting_splu(monkeypatch)
+    factorisations.clear()
     solver = DirectSolver(a)
-    assert calls == [] and isinstance(solver._lu, DenseLU) and solver.column_order() is None
+    assert factorisations == ["getrf"] and isinstance(solver._lu, DenseLU) and solver.lu_fill == n * n
     b = np.random.default_rng(8).standard_normal(n)
     for trans in ("N", "T"):
         x, ref = solver._lu.solve(b, trans=trans), reference.solve(b, trans=trans)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert solver.solve(b).tobytes() == solver._lu.solve(b).tobytes()
+    # one step of iterative refinement on the factor's answer
+    y = solver._lu.solve(b)
+    assert solver.solve(b).tobytes() == (y + solver._lu.solve(b - a @ y)).tobytes()
     # the factors the trace counts: P A = L U with a unit lower L
     lu = solver._lu
-    perm = np.arange(n)
-    for i, p in enumerate(lu._piv):
-        perm[[i, p]] = perm[[p, i]]
-    assert np.allclose((lu.L @ lu.U).toarray(), a.toarray()[perm], rtol=0, atol=1e-12 * n)
+    assert np.allclose((lu.L @ lu.U).toarray(), a.toarray()[_row_order(lu._piv)], rtol=0, atol=1e-12 * n)
     assert np.array_equal(lu.L.diagonal(), np.ones(n))
 
 
-def test_a_matrix_just_below_the_dense_share_goes_to_superlu(monkeypatch):
-    n = 60
-    a = _stored_share_matrix(n, int(np.ceil(DENSE_SHARE * n * n)) - 1)
-    calls = _counting_splu(monkeypatch)
+def _scrambled_band(n=200, lower=3, upper=1, seed=9):
+    """A nonsymmetric n x n CSC matrix with bands -lower..upper, rows and columns shuffled alike."""
+    rng = np.random.default_rng(seed)
+    offsets = range(-lower, upper + 1)
+    bands = [rng.standard_normal(n - abs(k)) + (2.0 if k == 0 else 0.0) for k in offsets]
+    shuffle = rng.permutation(n)
+    return sp.diags(bands, list(offsets), format="csr")[shuffle][:, shuffle].tocsc()
+
+
+def test_a_matrix_below_the_dense_share_is_factorised_by_gbtrf_in_rcm_order(factorisations):
+    n = 200
+    a = _scrambled_band(n)
+    assert a.nnz < DENSE_SHARE * n * n
     solver = DirectSolver(a)
-    assert calls == [1] and not isinstance(solver._lu, DenseLU)
-    assert solver.column_order() is not None
+    assert factorisations == ["gbtrf"] and isinstance(solver._lu, BandLU)
+    perm, kl, ku = rcm_band(a)
+    assert {kl, ku} == {3, 1}  # RCM finds the band again; its two sides differ
+    assert solver.lu_fill == (2 * kl + ku + 1) * n
+    dense = DenseLU(a)
+    rhs = np.random.default_rng(10).standard_normal((n, 2))
+    for b in (rhs[:, 0], rhs):
+        for trans in ("N", "T"):
+            x, ref = solver._lu.solve(b, trans=trans), dense.solve(b, trans=trans)
+            assert x.shape == b.shape
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    # P B = L U for the RCM-permuted matrix B, with row interchanges taken
+    lu = solver._lu
+    assert np.count_nonzero(lu._piv != np.arange(n)) > 0
+    permuted = a.toarray()[perm][:, perm]
+    assert np.allclose((lu.L @ lu.U).toarray(), permuted[_row_order(lu._piv)], rtol=0, atol=1e-12 * n)
+    assert np.array_equal(lu.L.diagonal(), np.ones(n))
+    assert sp.triu(lu.L, 1).nnz == 0 and sp.tril(lu.U, -1).nnz == 0
+
+
+def test_a_matrix_whose_band_needs_n_rows_goes_to_getrf(factorisations):
+    # an arrow matrix: a diagonal and one full row and column, 3n - 2 entries;
+    # in any order its band needs 2 kl + ku + 1 >= n rows
+    n = 60
+    a = sp.lil_matrix((n, n))
+    a.setdiag(4.0 + np.arange(n))
+    a[0, 1:], a[1:, 0] = 1.0, -1.0
+    a = a.tocsc()
+    assert a.nnz == 3 * n - 2 < DENSE_SHARE * n * n
+    perm, kl, ku = rcm_band(a)
+    assert 2 * kl + ku + 1 >= n
+    solver = DirectSolver(a)
+    assert factorisations == ["getrf"] and isinstance(solver._lu, DenseLU)
+    b = np.ones(n)
+    assert np.linalg.norm(a @ solver.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_a_singular_banded_matrix_raises_from_the_constructor_without_warning(factorisations):
+    # 2 x 2 blocks [[1, 2], [2, 4]]: the pivoted elimination leaves an exact zero
+    a = sp.block_diag([np.array([[1.0, 2.0], [2.0, 4.0]])] * 20, format="csc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix, match="exact zero pivot"):
+            DirectSolver(a)
+    assert factorisations == ["gbtrf"]
 
 
 def test_a_singular_dense_matrix_raises_from_the_constructor_without_warning():
@@ -268,45 +314,3 @@ def test_bandwidth_of_a_sum_of_products_is_read_without_forming_them():
     empty = sp.csr_matrix((n, n))
     assert bandwidth_of_sum(empty, []) == 0
     assert bandwidth_of_sum(empty, pairs[:1]) == nnz_and_bandwidth((pairs[0][0] @ pairs[0][1]).tocsr())[1]
-
-
-def _same_pattern_pair(n=60, seed=5):
-    """Two nonsymmetric sparse matrices with one stored pattern and unrelated values."""
-    rng = np.random.default_rng(seed)
-    a = (sp.random(n, n, density=0.08, random_state=rng) + 4 * sp.identity(n)).tocsc()
-    b = a.copy()
-    b.data = rng.standard_normal(b.nnz)
-    b.setdiag(8.0 + b.diagonal())
-    return a, b
-
-
-def test_a_reused_column_order_factorises_like_a_fresh_colamd():
-    a, b = _same_pattern_pair()
-    first = DirectSolver(a)
-    order = first.column_order()
-    assert np.array_equal(order.order, np.argsort(first._lu.perm_c))
-    assert not np.array_equal(order.order, np.arange(len(order.order)))
-    reused, fresh = DirectSolver(b, order), DirectSolver(b)
-    assert reused.column_order() is order and fresh.column_order() is not order
-    for name in ("L", "U"):
-        assert getattr(reused._lu, name).data.tobytes() == getattr(fresh._lu, name).data.tobytes()
-    assert np.array_equal(reused._lu.perm_r, fresh._lu.perm_r)
-    rhs = np.random.default_rng(6).standard_normal((b.shape[0], 2))
-    for col in (rhs[:, 0], rhs):
-        assert reused.solve(col).tobytes() == fresh.solve(col).tobytes()
-    assert reused.condition_estimate() == fresh.condition_estimate()
-
-
-def test_a_column_order_is_not_given_to_another_pattern():
-    a, b = _same_pattern_pair()
-    order = DirectSolver(a).column_order()
-    zero = np.argwhere(b.toarray() == 0)[0]
-    grown = b.tolil()
-    grown[zero[0], zero[1]] = 1.0
-    grown = grown.tocsc()
-    assert grown.nnz == b.nnz + 1
-    solver, fresh = DirectSolver(grown, order), DirectSolver(grown)
-    assert solver.column_order() is not order
-    assert np.array_equal(solver._lu.perm_c, fresh._lu.perm_c)
-    rhs = np.ones(b.shape[0])
-    assert solver.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()

@@ -18,6 +18,7 @@ class SingularMatrix(Exception):
 GMRES_RESTART = 60  # iterations of the one GMRES cycle; converging cells measured needed <= 50
 KRYLOV_GATE = 1e-13  # backward-error bound every direct and iterative answer must meet
 DENSE_SHARE = 0.1  # a matrix storing at least this share of its n^2 entries is factorised dense
+BAND_MAX_ENTRIES = 1 << 23  # the most entries (64 MiB) a band or dense factor of a sparser matrix may store
 
 
 def _inf_norm(a: sp.csr_matrix | sp.csc_matrix) -> float:
@@ -92,27 +93,27 @@ class DenseLU:
         return sp.csc_matrix(np.triu(self._lu))
 
 
-def rcm_band(a: sp.csc_matrix) -> tuple[np.ndarray, int, int]:
-    """Reverse Cuthill-McKee order of A's symmetrised pattern, and kl, ku of A in that order.
+def rcm_band(a: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Reverse Cuthill-McKee order of A's symmetrised pattern, its inverse, and kl, ku of A in that order.
 
-    perm orders rows and columns alike: B = A[perm][:, perm].  kl and ku
-    are B's numbers of sub- and superdiagonals, taken apart because A's
-    pattern need not be symmetric, and read per column of A with no
-    permuted copy made.
+    perm orders rows and columns alike: B = A[perm][:, perm], and
+    inv[perm] = 0..n-1.  kl and ku are B's numbers of sub- and
+    superdiagonals, taken apart because A's pattern need not be symmetric,
+    and read per column of A with no permuted copy made.
     """
     pattern = sp.csc_matrix((np.ones(a.nnz, dtype=np.int8), a.indices, a.indptr), shape=a.shape)
-    perm = csgraph.reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
+    perm = csgraph.reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)  # symmetric: CSC reads as CSR
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm), dtype=perm.dtype)
     lo, hi = _index_range(a, inv, inv)  # per column of A, its least and largest row of B
     cols = np.flatnonzero(hi >= 0)
-    return perm, int(np.max(hi[cols] - inv[cols], initial=0)), int(np.max(inv[cols] - lo[cols], initial=0))
+    return perm, inv, int(np.max(hi[cols] - inv[cols], initial=0)), int(np.max(inv[cols] - lo[cols], initial=0))
 
 
 class BandLU:
     """LAPACK gbtrf factor P B = L U of B = A[perm][:, perm], held as one band.
 
-    perm, kl and ku are those of rcm_band.  A is scattered from its CSC
+    perm, inv, kl and ku are those of rcm_band.  A is scattered from its CSC
     arrays straight into the Fortran-ordered (2 kl + ku + 1, n) band that
     gbtrf overwrites with the factor: B's entry (i, j) in row kl + ku + i - j
     of column j, the first kl rows left for the fill of pivoting.  No
@@ -122,11 +123,9 @@ class BandLU:
     first use.  Raises SingularMatrix on an exact zero pivot.
     """
 
-    def __init__(self, a: sp.csc_matrix, perm: np.ndarray, kl: int, ku: int):
+    def __init__(self, a: sp.csc_matrix, perm: np.ndarray, inv: np.ndarray, kl: int, ku: int):
         n = a.shape[0]
-        self.shape, self._perm, self._kl, self._ku = a.shape, perm, kl, ku
-        self._inv = np.empty_like(perm)
-        self._inv[perm] = np.arange(n, dtype=perm.dtype)
+        self.shape, self._perm, self._inv, self._kl, self._ku = a.shape, perm, inv, kl, ku
         rows = 2 * kl + ku + 1
         band = np.zeros((rows, n), order="F")
         # flat Fortran index of B's (i, j): kl + ku + i - j + j * rows
@@ -170,13 +169,20 @@ class BandLU:
 class DirectSolver:
     """Factorise once, solve many; every accepted solve meets a residual bound.
 
-    Handles nonsymmetric matrices.  A matrix that stores at least
-    DENSE_SHARE of its n^2 entries is factorised dense by LAPACK getrf
-    (DenseLU), so its dense array takes at most 1/DENSE_SHARE times the
-    stored entries.  Any other matrix, dense input included, is ordered by
-    reverse Cuthill-McKee and factorised as a band by LAPACK gbtrf
-    (BandLU), unless its band would need at least n rows, when the dense
-    array is no larger and getrf takes it in its own order.
+    Handles nonsymmetric matrices.  The factor is chosen from the matrix
+    alone, and no choice lets LAPACK store more than the larger of
+    nnz / DENSE_SHARE and BAND_MAX_ENTRIES entries:
+
+    - a matrix that stores at least DENSE_SHARE of its n^2 entries is
+      factorised dense by LAPACK getrf (DenseLU), in its own order, so its
+      dense array takes at most 1/DENSE_SHARE times the stored entries;
+    - any other matrix is ordered by reverse Cuthill-McKee and factorised
+      as a band by LAPACK gbtrf (BandLU), or by getrf if its band would
+      need at least n rows, as long as that factor stores at most
+      BAND_MAX_ENTRIES entries;
+    - a larger one is factorised by SuperLU in COLAMD order: a band in two
+      dimensions stores O(n^1.5) entries, 2.2-3.1x SuperLU's fill on the
+      large cells.
 
     solve() takes one step of iterative refinement, x += LU^-1 (b - A x),
     then raises SingularMatrix if the refined residual violates
@@ -194,8 +200,17 @@ class DirectSolver:
         if a.nnz > 0 and a.nnz >= DENSE_SHARE * n * n:
             self._lu = DenseLU(a)
             return
-        perm, kl, ku = rcm_band(a)
-        self._lu = DenseLU(a) if 2 * kl + ku + 1 >= n else BandLU(a, perm, kl, ku)
+        # every column must fit in the band's kl + ku + 1 rows, so n times the longest bounds its storage below
+        if n * np.diff(a.indptr).max(initial=0) <= BAND_MAX_ENTRIES:
+            perm, inv, kl, ku = rcm_band(a)
+            rows = 2 * kl + ku + 1
+            if min(rows, n) * n <= BAND_MAX_ENTRIES:
+                self._lu = DenseLU(a) if rows >= n else BandLU(a, perm, inv, kl, ku)
+                return
+        try:
+            self._lu = spla.splu(a, permc_spec="COLAMD")
+        except (RuntimeError, ValueError) as exc:
+            raise SingularMatrix(str(exc)) from exc
 
     @property
     def lu_fill(self) -> int:

@@ -912,6 +912,28 @@ def test_a_banded_level_solves_every_thickness_as_alone(factorisations, estimate
     _assert_solved_as_alone(results, alone, estimate_condition)
 
 
+def test_a_level_whose_band_exceeds_the_cap_is_factorised_by_superlu(factorisations, monkeypatch):
+    # with no room for a LAPACK factor of a sparse matrix, the mxd p2 L4
+    # saddle goes to SuperLU at every thickness, each answer still that of
+    # a separate solve, and the answer matches the band's
+    import importlib
+
+    import igaplate.sparse as sparse
+
+    module = importlib.import_module("igaplate.condense")
+    cfg = SolveConfig(variant="mxd", degree=2, level=4, thickness=1.0, estimate_condition=True)
+    load = BenchmarkProblem("undistorted", thickness=1.0).load
+    band = module.solve_thicknesses(geometry_catalog("undistorted"), cfg, [1.0], [load])[0]
+    monkeypatch.setattr(sparse, "BAND_MAX_ENTRIES", 0)
+    factorisations.clear()
+    results, alone = _level_and_alone(module, cfg)
+    assert factorisations == ["splu"] * 6
+    _assert_solved_as_alone(results, alone, True)
+    d = results[0].diagnostics
+    assert d["lu_fill"] < band.diagnostics["lu_fill"]
+    assert np.linalg.norm(results[0].d_full - band.d_full) <= 1e-12 * np.linalg.norm(band.d_full)
+
+
 @pytest.mark.parametrize("estimate_condition", [False, True])
 def test_a_dense_level_solves_every_thickness_as_alone(factorisations, estimate_condition):
     # the ead p2 L3 condensed matrix stores more than DENSE_SHARE of n^2:

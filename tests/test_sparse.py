@@ -8,7 +8,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import igaplate.sparse as sparse
 from igaplate.sparse import (
+    BAND_MAX_ENTRIES,
     DENSE_SHARE,
     BandLU,
     DenseLU,
@@ -166,7 +168,8 @@ def test_a_matrix_below_the_dense_share_is_factorised_by_gbtrf_in_rcm_order(fact
     assert a.nnz < DENSE_SHARE * n * n
     solver = DirectSolver(a)
     assert factorisations == ["gbtrf"] and isinstance(solver._lu, BandLU)
-    perm, kl, ku = rcm_band(a)
+    perm, inv, kl, ku = rcm_band(a)
+    assert np.array_equal(inv[perm], np.arange(n))
     assert {kl, ku} == {3, 1}  # RCM finds the band again; its two sides differ
     assert solver.lu_fill == (2 * kl + ku + 1) * n
     dense = DenseLU(a)
@@ -186,20 +189,41 @@ def test_a_matrix_below_the_dense_share_is_factorised_by_gbtrf_in_rcm_order(fact
 
 
 def test_a_matrix_whose_band_needs_n_rows_goes_to_getrf(factorisations):
-    # an arrow matrix: a diagonal and one full row and column, 3n - 2 entries;
-    # in any order its band needs 2 kl + ku + 1 >= n rows
     n = 60
-    a = sp.lil_matrix((n, n))
-    a.setdiag(4.0 + np.arange(n))
-    a[0, 1:], a[1:, 0] = 1.0, -1.0
-    a = a.tocsc()
+    a = _arrow(n)
     assert a.nnz == 3 * n - 2 < DENSE_SHARE * n * n
-    perm, kl, ku = rcm_band(a)
-    assert 2 * kl + ku + 1 >= n
+    _, _, kl, ku = rcm_band(a)
+    assert 2 * kl + ku + 1 >= n <= BAND_MAX_ENTRIES // n
     solver = DirectSolver(a)
     assert factorisations == ["getrf"] and isinstance(solver._lu, DenseLU)
     b = np.ones(n)
     assert np.linalg.norm(a @ solver.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def _arrow(n=60):
+    """A diagonal and one full row and column, 3n - 2 entries: in any order its band needs n rows."""
+    a = sp.lil_matrix((n, n))
+    a.setdiag(4.0 + np.arange(n))
+    a[0, 1:], a[1:, 0] = 1.0, -1.0
+    return a.tocsc()
+
+
+@pytest.mark.parametrize("a", [_scrambled_band(), _arrow()], ids=["band", "arrow"])
+def test_a_sparse_matrix_whose_lapack_factor_would_exceed_the_cap_goes_to_superlu(a, factorisations, monkeypatch):
+    n = a.shape[0]
+    _, _, kl, ku = rcm_band(a)
+    stored = min(2 * kl + ku + 1, n) * n
+    monkeypatch.setattr(sparse, "BAND_MAX_ENTRIES", stored)
+    DirectSolver(a)
+    assert factorisations[-1] in ("gbtrf", "getrf")
+    monkeypatch.setattr(sparse, "BAND_MAX_ENTRIES", stored - 1)
+    solver = DirectSolver(a)
+    assert factorisations[-1] == "splu" and solver.lu_fill == solver._lu.nnz
+    b = np.ones(n)
+    x = solver._lu.solve(b)
+    assert solver.solve(b).tobytes() == (x + solver._lu.solve(b - a @ x)).tobytes()
+    with pytest.raises(SingularMatrix):
+        DirectSolver(sp.block_diag([np.array([[1.0, 2.0], [2.0, 4.0]])] * (n // 2), format="csc"))
 
 
 def test_a_singular_banded_matrix_raises_from_the_constructor_without_warning(factorisations):

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from igaplate.bench import BenchmarkProblem, geometry_catalog
+from igaplate.bench import geometry_catalog
 from igaplate.condense import SolveConfig, assemble_mixed, build_transforms, condense, pg_transform, prepare_problem
 from igaplate.sparse import nnz_and_bandwidth
 
@@ -25,12 +25,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     assembly = geometry_catalog(args.geometry)
-    problem = BenchmarkProblem(args.geometry, thickness=args.thickness)
     config = SolveConfig(
         variant="ead", degree=args.degree, level=args.level, thickness=args.thickness
     )
     ctx = prepare_problem(assembly, config)
-    system = assemble_mixed(ctx, config.make_material(), problem.load)
+    system = assemble_mixed(ctx, config.make_material())
 
     a, _ = system.monolithic()
     nnz, band = nnz_and_bandwidth(a)

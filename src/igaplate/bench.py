@@ -118,12 +118,8 @@ def _patch(p, q, ku, kv, rows):
     rows = np.asarray([[float(v) for v in row] for row in rows])
     if rows.shape != (n * m, 4):
         raise InvalidGeometry(f"need {n * m} point rows, got {rows.shape[0]}")
-    pts = np.zeros((n, m, 3))
-    wts = np.ones((n, m))
-    for j in range(m):
-        for i in range(n):
-            pts[i, j] = rows[j * n + i, :3]
-            wts[i, j] = rows[j * n + i, 3]
+    grid = rows.reshape(m, n, 4).transpose(1, 0, 2)  # row j * n + i is point (i, j)
+    pts, wts = np.ascontiguousarray(grid[..., :3]), np.ascontiguousarray(grid[..., 3])
     return SurfacePatch(kv_u, kv_v, ControlNet(points=pts, weights=wts))
 
 
@@ -378,6 +374,10 @@ def read_geometry_file(source) -> PatchAssembly:
                 vals = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 fail(i, f"bad number in '{key}': {exc}")
+            if not all(map(math.isfinite, vals)):
+                fail(i, f"non-finite number in '{key}'")
+            if key == "degrees" and any(v != int(v) for v in vals):
+                fail(i, f"degrees must be integers, got {parts[1:]}")
             if count is not None and len(vals) != count:
                 fail(i, f"'{key}' needs {count} values")
             fields[key] = (vals, i)
@@ -412,6 +412,8 @@ def read_geometry_file(source) -> PatchAssembly:
                     x, y, z, w = (float(v) for v in parts)
                 except ValueError as exc:
                     fail(i, f"bad number: {exc}")
+                if not all(map(math.isfinite, (x, y, z, w))):
+                    fail(i, "non-finite number in point line")
                 if w <= 0:
                     raise InvalidGeometry(f"line {i + 1}: weight must be positive, got {w}")
                 pts[ii, j] = (x, y, z)

@@ -30,7 +30,6 @@ from .duals import (
 )
 from .multipatch import PatchAssembly, assemble_multipatch, assemble_primal_multipatch, build_dof_map
 from .plate import (
-    LoadQuadrature,
     MixedSystem,
     PatchDiscretization,
     UnitMaterial,
@@ -157,8 +156,9 @@ def prepare_problem(assembly: PatchAssembly | SurfacePatch, config: SolveConfig)
     )
 
 
-def assemble_mixed(ctx: ProblemContext, mat, load=None) -> MixedSystem:
-    system = assemble_multipatch(ctx.refined, ctx.discs, mat, ctx.config.scheme, load)
+def assemble_mixed(ctx: ProblemContext, mat, loads=()) -> MixedSystem:
+    """The mixed system on the free d DOFs; f_d has one column per load."""
+    system = assemble_multipatch(ctx.refined, ctx.discs, mat, ctx.config.scheme, loads)
     constrained, _ = apply_clamped_bc(system)
     return constrained
 
@@ -353,12 +353,7 @@ def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
 
 def recover_shear(cond: CondensedSystem, d_solution: np.ndarray) -> list:
     """Per-patch shear coefficients that balance the (lumped) shear rows."""
-    out = []
-    for x1, x2 in cond.recovery:
-        s1 = -np.asarray(x1 @ d_solution).ravel()
-        s2 = -np.asarray(x2 @ d_solution).ravel()
-        out.append((s1, s2))
-    return out
+    return [tuple(-np.asarray(x @ d_solution).ravel() for x in pair) for pair in cond.recovery]
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +404,17 @@ def mesh_slenderness(ctx: ProblemContext, mat) -> float:
     return float(_ratio(mat) * h**2)
 
 
-def _primal_parts(ctx: ProblemContext, bending: bool = True) -> tuple:
-    """Primal shear-penalty and bending parts on the free d DOFs, load quadrature, free DOFs.
+def _primal_parts(ctx: ProblemContext, bending: bool = True, loads=()) -> tuple:
+    """Primal shear-penalty and bending parts and load vectors on the free d DOFs, free DOFs.
 
     Built with unit material scalars; without `bending` only the shear
     part is assembled and the bending part is None.
     """
     unit = UnitMaterial(ctx.config.nu)
-    shear, bend, quad, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, unit, bending)
+    shear, bend, f, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, unit, bending, loads)
     free = free_dofs(shear.shape[0], boundary)
     sub = np.ix_(free, free)
-    return shear[sub].tocsr(), None if bend is None else bend[sub].tocsr(), quad, free
+    return shear[sub].tocsr(), None if bend is None else bend[sub].tocsr(), f[free], free
 
 
 @dataclass
@@ -430,7 +425,7 @@ class ThicknessFreeParts:
     continuity reduction) with unit material scalars, D = 1 and
     kappa*G*t = 1 (see build_parts).  Thickness enters every block through
     these two scalars only, so each thickness's system divided by D is the
-    pencil fixed + scale(mat) * scaled against f / D (see system_at):
+    pencil fixed + scale(mat) * scaled against its f / D (see system_at):
 
       std           bending + (kGt/D) * shear penalty
       lmp, ad, ead  K_dd - (kGt/D) * sum_a K_dSa X_a
@@ -447,7 +442,7 @@ class ThicknessFreeParts:
 
     ctx: ProblemContext
     free: np.ndarray  # free d DOFs
-    quadrature: LoadQuadrature | None
+    loads: np.ndarray  # the level's load vectors on the free d DOFs, one column per thickness
     fixed: sp.csr_matrix | None
     scaled: sp.csr_matrix | None
     cond: CondensedSystem | None = None  # lmp/ad/ead: couplings, recovery operators, lump diagnostics
@@ -482,18 +477,18 @@ class ThicknessFreeParts:
             return self.matrix_at(mat)
         return CondensedOperator(self, mat)
 
-    def rhs_at(self, mat, load=None) -> np.ndarray:
-        """Right-hand side of mat's system divided by D."""
+    def rhs_at(self, mat, i: int) -> np.ndarray:
+        """Right-hand side of mat's system under load i, divided by D."""
         f = np.zeros(self.fixed.shape[0])
-        f[: len(self.free)] = self.quadrature.vector(load)[self.free] / mat.bending_stiffness
+        f[: len(self.free)] = self.loads[:, i] / mat.bending_stiffness
         return f
 
-    def system_at(self, mat, load=None) -> tuple:
-        """Matrix and right-hand side of mat's system, nondimensionalised by D."""
-        return self.matrix_at(mat), self.rhs_at(mat, load)
+    def system_at(self, mat, i: int) -> tuple:
+        """Matrix and right-hand side of mat's system under load i, nondimensionalised by D."""
+        return self.matrix_at(mat), self.rhs_at(mat, i)
 
     def split(self, x: np.ndarray, mat) -> tuple:
-        """The free d DOFs and per-patch shear (S1, S2), None for std, of system_at(mat)'s answer x."""
+        """The free d DOFs and per-patch shear (S1, S2), None for std, of an answer x of mat's system."""
         if self.cond is not None:
             return x, recover_shear(self.cond, mat.kgt * x)
         if self.ctx.config.variant == "std":
@@ -506,40 +501,42 @@ class ThicknessFreeParts:
         return d_free, list(zip(shear[: len(spaces)], shear[len(spaces) :]))
 
 
-def build_parts(assembly, config: SolveConfig) -> ThicknessFreeParts:
+def build_parts(assembly, config: SolveConfig, loads=()) -> ThicknessFreeParts:
     """Refine, assemble, eliminate the boundary, transform and condense once.
 
     Nothing here reads the thickness, E or kappa of the config: the kernel
-    runs with unit material scalars and no load, and keeps the load
-    quadrature for the solves.
+    runs with unit material scalars.  It integrates every load, one per
+    thickness, in the same pass; no load is evaluated after it.
     """
     ctx = prepare_problem(assembly, config)
     if config.variant == "std":
-        shear, bending, quad, free = _primal_parts(ctx)
-        return ThicknessFreeParts(ctx, free, quad, bending, shear)
-    system = assemble_mixed(ctx, UnitMaterial(config.nu))
+        shear, bending, f, free = _primal_parts(ctx, loads=loads)
+        return ThicknessFreeParts(ctx, free, f, bending, shear)
+    system = assemble_mixed(ctx, UnitMaterial(config.nu), loads)
     if config.variant == "mxd":
         empty = {k: [sp.csr_matrix(m.shape) for m in getattr(system, k)] for k in ("k_s11", "k_s22")}
         fixed, _ = replace(system, **empty).monolithic()
         scaled = sp.block_diag([sp.csr_matrix((system.nd, system.nd)), *system.k_s11, *system.k_s22], format="csr")
-        return ThicknessFreeParts(ctx, system.free_d, system.quadrature, fixed, scaled)
+        return ThicknessFreeParts(ctx, system.free_d, system.f_d, fixed, scaled)
     if config.variant in ("ad", "ead"):
         system = pg_transform(system, *build_transforms(ctx))
     cond = condense(system, lumped=True)
     factors = replace(cond, k_dd=None, f_d=None)  # couplings, recovery operators, diagnostics
-    return ThicknessFreeParts(ctx, system.free_d, system.quadrature, cond.k_dd, None, factors)
+    return ThicknessFreeParts(ctx, system.free_d, system.f_d, cond.k_dd, None, factors)
 
 
 def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list:
     """Solve one discretisation at every thickness from one thickness-free build.
 
+    loads[i], the load of thicknesses[i], is integrated in the build; a
+    count unlike that of thicknesses raises ValueError before any work.
     Returns, per thickness, its VariantSolution or the exception its solve
-    raised; an exception of the build is returned for every thickness.  The
-    build time is charged to the first thickness's assembly_s.  At the
-    last thickness the load quadrature and the primal shear penalty are
-    dropped before its matrix is formed, and the parts' matrices once it
-    is, so they share neither the memory peak of forming it nor that of
-    its factorisation; a condensed operator (below) holds its own parts
+    or its load raised; any other exception of the build is returned for
+    every thickness.  The build time is charged to the first thickness's
+    assembly_s.  At the last thickness the primal shear penalty is dropped
+    before its matrix is formed, and the parts' matrices once it is, so
+    they share neither the memory peak of forming it nor that of its
+    factorisation; a condensed operator (below) holds its own parts
     through its solve.
 
     All variants share one factorisation and one solve of the
@@ -555,15 +552,30 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     Krylov answer misses the Krylov gates, the matrix is formed and
     factorised directly as for every other system (see DirectSolver).
 
-    The result list is released from the frame on return: a stored
-    exception's traceback keeps this frame, so a list left in it would
-    form a reference cycle that holds every local until the cyclic
-    collector runs.
+    The result list is released from the frame on return, and the list of
+    load exceptions emptied: a stored exception's traceback keeps this
+    frame and the build's, so a list left in them would form a reference
+    cycle that holds every local until the cyclic collector runs.
     """
+    if len(loads) != len(thicknesses):
+        raise ValueError(f"{len(loads)} loads for {len(thicknesses)} thicknesses")
+    errors = [None] * len(loads)  # per thickness: the exception its load raised in the build
+
+    def kept(i, load):  # load i as the build calls it: an exception fails thickness i alone
+        def call(x, y):
+            try:
+                return np.nan if errors[i] is not None else load(x, y)
+            except Exception as exc:
+                errors[i] = exc
+                return np.nan
+
+        return call
+
     t0 = time.perf_counter()
     try:
-        parts = build_parts(assembly, config)
+        parts = build_parts(assembly, config, [None if f is None else kept(i, f) for i, f in enumerate(loads)])
     except Exception as exc:
+        errors.clear()  # the build's frames hold it (see the docstring)
         return [exc] * len(thicknesses)
     ctx, free = parts.ctx, parts.free
     ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
@@ -571,12 +583,14 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     bound = bounds.get(config.variant, GMRES_MAX_SLENDERNESS)
     out = []
     try:
-        for i, (t, load) in enumerate(zip(thicknesses, loads, strict=True)):
+        for i, t in enumerate(thicknesses):
             if i:
                 t0 = time.perf_counter()
             try:
                 cfg = replace(config, thickness=t)
                 mat = cfg.make_material()
+                if errors[i] is not None:
+                    raise errors[i]
                 diagnostics: dict = {"variant": cfg.variant}
                 primal = None
                 if parts.cond is not None:
@@ -588,10 +602,10 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                     and mesh_slenderness(ctx, mat) <= bound
                 ):
                     primal = parts.primal(mat)  # before the matrix: a first build peaks in memory
-                rhs = parts.rhs_at(mat, load)
+                rhs = parts.rhs_at(mat, i)
                 last = i == len(thicknesses) - 1
-                if last:  # the primal matrix and the load vector are built
-                    parts = replace(parts, quadrature=None, penalty=None)
+                if last:  # the primal matrix is built
+                    parts = replace(parts, penalty=None)
                 matrix = parts.matrix_at(mat) if primal is None else parts.operator_at(mat)
                 if last:  # split reads none of the matrices; an operator holds its own
                     cond = None if parts.cond is None else replace(parts.cond, coupling=None)
@@ -649,7 +663,8 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
             matrix = primal = solver = None  # before the next thickness forms its own
         return out
     finally:
-        del out  # see above: the traceback of a stored exception keeps this frame
+        del out  # see above: the traceback of a stored exception keeps this frame and the build's
+        errors.clear()
 
 
 def solve_variant(assembly, config: SolveConfig, load=None) -> VariantSolution:

@@ -187,20 +187,20 @@ def assemble_multipatch(
     discs: list,
     mat,
     scheme: str,
-    load=None,
+    loads=(),
 ) -> MixedSystem:
-    """Mixed system of all patches, scattered once into the unified d numbering."""
+    """Mixed system of all patches, scattered once into the unified d numbering; one f_d column per load."""
     d_maps = [d_index_map(pa, p) for p in range(len(discs))]
     nd = 3 * pa.n_points
-    return assemble_patches(discs, d_maps, nd, mat, scheme, boundary_d_indices(pa), load)
+    return assemble_patches(discs, d_maps, nd, mat, scheme, boundary_d_indices(pa), loads)
 
 
-def assemble_primal_multipatch(pa: PatchAssembly, discs: list, mat, bending: bool = True):
-    """Primal shear-penalty and bending parts, load quadrature and boundary d ids.
+def assemble_primal_multipatch(pa: PatchAssembly, discs: list, mat, bending: bool = True, loads=()):
+    """Primal shear-penalty and bending parts, load vectors and boundary d ids.
 
-    All in the unified displacement numbering; the primal matrix is the sum
-    of the two parts (see assemble_primal_patches).
+    All in the unified displacement numbering, one load vector column per
+    load; the primal matrix is the sum of the two parts (see assemble_primal_patches).
     """
     d_maps = [d_index_map(pa, p) for p in range(len(discs))]
-    shear, bend, quad = assemble_primal_patches(discs, d_maps, 3 * pa.n_points, mat, bending)
-    return shear, bend, quad, boundary_d_indices(pa)
+    shear, bend, f = assemble_primal_patches(discs, d_maps, 3 * pa.n_points, mat, bending, loads)
+    return shear, bend, f, boundary_d_indices(pa)

@@ -20,7 +20,7 @@ Bivariate index ordering is k = i*m + j with i along xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -401,40 +401,19 @@ def _bending(gx: np.ndarray, gy: np.ndarray, w: np.ndarray, d_m: np.ndarray) -> 
     return _swap(bw) @ db
 
 
-@dataclass
-class LoadQuadrature:
-    """Quadrature of the consistent load on the w functions, kept from an assembly pass.
+def _add_loads(f: np.ndarray, loads, ids: np.ndarray, xy: np.ndarray, rw: np.ndarray) -> None:
+    """Add every load's consistent vector over a batch to its column of f, in element order.
 
-    Per batch of elements it holds the global w ids (E, L), the physical
-    quadrature points (E, Q, 2) and the w basis times the physical
-    quadrature weight (E, L, Q), so a load costs one evaluation at all
-    points and one scatter, with no second geometry pass.
+    ids (E, L) are the batch's global w ids, xy (E, Q, 2) its physical
+    quadrature points and rw (E, L, Q) its w basis times the quadrature
+    weight.  A None load adds nothing; a load may return one value for all.
     """
-
-    nd: int
-    ids: list = field(default_factory=list)
-    xy: list = field(default_factory=list)
-    rw: list = field(default_factory=list)
-
-    def add(self, ids: np.ndarray, xy: np.ndarray, rw: np.ndarray) -> None:
-        self.ids.append(ids)
-        self.xy.append(xy)
-        self.rw.append(rw)
-
-    def vector(self, load=None) -> np.ndarray:
-        """Load vector over all nd d DOFs (zero without a load)."""
-        if load is None or not self.ids:
-            return np.zeros(self.nd)
-        xy = np.concatenate([p.reshape(-1, 2) for p in self.xy])
-        # a load may return one value for all points
-        fv = np.broadcast_to(np.asarray(load(xy[:, 0], xy[:, 1]), dtype=float).ravel(), len(xy))
-        vals, start = [], 0
-        for rw in self.rw:
-            ne, _, nq = rw.shape
-            vals.append((rw @ fv[start : start + ne * nq].reshape(ne, nq, 1)).ravel())
-            start += ne * nq
-        ids = np.concatenate([i.ravel() for i in self.ids])
-        return np.bincount(ids, np.concatenate(vals), minlength=self.nd)
+    ne, _, nq = rw.shape
+    xy = xy.reshape(-1, 2)
+    for col, load in enumerate(loads):
+        if load is not None:
+            fv = np.broadcast_to(np.asarray(load(xy[:, 0], xy[:, 1]), dtype=float).ravel(), len(xy))
+            np.add.at(f[:, col], ids.ravel(), (rw @ fv.reshape(ne, nq, 1)).ravel())
 
 
 @dataclass
@@ -459,7 +438,7 @@ def _mixed_blocks(disc: PatchDiscretization, mat: PlateMaterial, scheme: str, eu
     zero.  scheme='galerkin' uses the physical measure everywhere;
     scheme='weighted' integrates the shear rows with kappa*G*t * W^2 against
     the parametric measure.  Shear rows carry the normalising -1.  'xy'
-    and 'rw' are the load quadrature of the batch (see LoadQuadrature).
+    and 'rw' are the load quadrature of the batch (see _add_loads).
     """
     if scheme not in ("galerkin", "weighted"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -549,12 +528,11 @@ class MixedSystem:
     k_s2d: list
     k_s11: list
     k_s22: list
-    f_d: np.ndarray
+    f_d: np.ndarray  # (nd,), or (nd, k) with one column per load of the assembly pass
     boundary_d: np.ndarray
     nd_full: int
     free_d: np.ndarray | None = None  # set after BC elimination
     transformed: bool = False  # shear rows pre-multiplied by dual transforms
-    quadrature: LoadQuadrature | None = None  # the load quadrature of the assembly pass
 
     @property
     def nd(self) -> int:
@@ -582,7 +560,7 @@ class MixedSystem:
             blocks[1 + p][1 + p] = self.k_s11[p]
             blocks[1 + np_ + p][1 + np_ + p] = self.k_s22[p]
         a = sp.bmat(blocks, format="csr")
-        rhs = np.concatenate([self.f_d, np.zeros(self.ns)])
+        rhs = np.concatenate([self.f_d, np.zeros((self.ns, *self.f_d.shape[1:]))])
         return a, rhs
 
 
@@ -729,17 +707,18 @@ def assemble_patches(
     mat: PlateMaterial,
     scheme: str,
     boundary_d: np.ndarray,
-    load=None,
+    loads=(),
 ) -> MixedSystem:
-    """Mixed system of several patches in a shared d numbering.
+    """Mixed system of several patches in a shared d numbering, with one load vector per load.
 
     d_maps[p] maps patch p's local d ids to global ones; shear ids stay
     patch-local, so every patch keeps its own shear blocks.  Each block is
     summed in its patch's band (see _Band) from the nonzero sub-blocks of
     the element matrices, the w and matching-rotation parts of a coupling
-    block in one band, and then mapped into the shared numbering.
+    block in one band, and then mapped into the shared numbering.  Every
+    load is integrated in the same pass; f_d has one column per load.
     """
-    quad = LoadQuadrature(nd)
+    f = np.zeros((nd, len(loads)))
     blocks = {key: [] for key in ("dd", "ds1", "ds2", "s1d", "s2d", "s11", "s22")}
     for disc, d_map in zip(discs, d_maps):
         side = _sides(disc)
@@ -756,7 +735,7 @@ def assemble_patches(
                 bands["ds" + key].add(gi, [(0, 0, k[f"ds{key}_w"]), (1, 0, k[f"ds{key}_t"])])
                 bands[f"s{key}d"].add(s, [(0, 0, k[f"s{key}d_w"]), (0, 1, k[f"s{key}d_t"])])
                 bands[f"s{key}{key}"].add(s, [(0, 0, k[f"s{key}{key}"])])
-            quad.add(d_map[gi], k["xy"], k["rw"])
+            _add_loads(f, loads, d_map[gi], k["xy"], k["rw"])
         for key, band in bands.items():
             # d rows and d columns go to the shared numbering
             blocks[key].append(_relabel(band.csr(), d_map, nd, key[0] == "d", key[-1] == "d"))
@@ -768,10 +747,9 @@ def assemble_patches(
         k_s2d=blocks["s2d"],
         k_s11=blocks["s11"],
         k_s22=blocks["s22"],
-        f_d=quad.vector(load),
+        f_d=f,
         boundary_d=boundary_d,
         nd_full=nd,
-        quadrature=quad,
     )
 
 
@@ -785,7 +763,8 @@ def assemble(
     disp = disc.spaces.disp
     boundary = np.sort(d_ids(boundary_point_ids(disp), disp.ndof))
     nd = disc.spaces.nd
-    return assemble_patches([disc], [np.arange(nd)], nd, mat, scheme, boundary, load)
+    system = assemble_patches([disc], [np.arange(nd)], nd, mat, scheme, boundary, [load])
+    return replace(system, f_d=system.f_d[:, 0])
 
 
 def apply_clamped_bc(system: MixedSystem) -> tuple[MixedSystem, dict]:
@@ -807,7 +786,6 @@ def apply_clamped_bc(system: MixedSystem) -> tuple[MixedSystem, dict]:
         nd_full=system.nd_full,
         free_d=free,
         transformed=system.transformed,
-        quadrature=system.quadrature,
     )
     report = {
         "n_fixed": int(len(system.boundary_d)),
@@ -832,7 +810,7 @@ def expand_displacement(nd_full: int, free: np.ndarray, d_free: np.ndarray) -> n
 def _primal_blocks(disc: PatchDiscretization, mat: PlateMaterial, eu, ev, bending=True) -> dict:
     """Primal blocks of a batch of elements: the kappa*G*t shear penalty 'shear' on all
     d ids, the bending block 'tt' on the rotations (None without `bending`) and the
-    load quadrature 'xy' and 'rw' (see LoadQuadrature)."""
+    load quadrature 'xy' and 'rw' (see _add_loads)."""
     geo = disc.geometry(eu, ev)
     r, gx, gy = geo["r"], geo["gx"], geo["gy"]
     ne, nq, nloc = r.shape
@@ -853,18 +831,19 @@ def _primal_blocks(disc: PatchDiscretization, mat: PlateMaterial, eu, ev, bendin
 
 
 def assemble_primal_patches(
-    discs: list, d_maps: list, nd: int, mat: PlateMaterial, bending: bool = True
+    discs: list, d_maps: list, nd: int, mat: PlateMaterial, bending: bool = True, loads=()
 ) -> tuple:
     """Standard irreducible form of several patches in a shared d numbering.
 
     Returns the kappa*G*t shear-penalty part, the bending part (None unless
-    asked for) and the load quadrature; the primal matrix is the sum of the
-    two parts.  Both come from one pass of the batched kernel, each summed
-    in its own band; the bending part only from the rotation block, the
-    one block where it is nonzero.  See assemble_patches for d_maps.
+    asked for) and the load vectors (nd, len(loads)); the primal matrix is
+    the sum of the two parts.  All come from one pass of the batched kernel,
+    each part summed in its own band; the bending part only from the
+    rotation block, the one block where it is nonzero.  See
+    assemble_patches for d_maps and the loads.
     """
     shear, bend = [], []
-    quad = LoadQuadrature(nd)
+    f = np.zeros((nd, len(loads)))
     for disc, d_map in zip(discs, d_maps):
         side = _sides(disc)
         shear_band = _Band(side["d"], side["d"])
@@ -877,8 +856,8 @@ def assemble_primal_patches(
             shear_band.add(gi, [(i, j, ks[:, a, b]) for i, a in parts for j, b in parts])
             if bending:
                 bend_band.add(gi, [(0, 0, k["tt"])])
-            quad.add(d_map[gi], k["xy"], k["rw"])
+            _add_loads(f, loads, d_map[gi], k["xy"], k["rw"])
         shear.append(_relabel(shear_band.csr(), d_map, nd, True, True))
         if bending:
             bend.append(_relabel(bend_band.csr(), d_map, nd, True, True))
-    return sum(shear[1:], shear[0]), sum(bend[1:], bend[0]) if bending else None, quad
+    return sum(shear[1:], shear[0]), sum(bend[1:], bend[0]) if bending else None, f

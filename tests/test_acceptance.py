@@ -413,7 +413,7 @@ def test_criterion_10_multipatch():
 
     # structural zeros between patch shear blocks
     ctx = prepare_problem(pa, cfg)
-    system = assemble_mixed(ctx, cfg.make_material(), prob.load)
+    system = assemble_mixed(ctx, cfg.make_material(), [prob.load])
     a, _ = system.monolithic()
     a = a.tocsr()
     nd = system.nd
@@ -439,17 +439,17 @@ def test_criterion_11_efficiency_proxy():
     cfg = SolveConfig(variant="ead", degree=3, level=4, thickness=0.01)
     ctx = prepare_problem(pa, cfg)
     mat = cfg.make_material()
-    system = assemble_mixed(ctx, mat, prob.load)
+    system = assemble_mixed(ctx, mat, [prob.load])
 
     t0 = time.perf_counter()
     t1s, t2s = build_transforms(ctx)
     cond_fast = condense(pg_transform(system, t1s, t2s), lumped=True)
-    DirectSolver(cond_fast.k_cond).solve(cond_fast.f_d)
+    DirectSolver(cond_fast.k_cond).solve(cond_fast.f_d[:, 0])
     t_fast = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     cond_slow = condense(system, lumped=False)
-    DirectSolver(cond_slow.k_cond).solve(cond_slow.f_d)
+    DirectSolver(cond_slow.k_cond).solve(cond_slow.f_d[:, 0])
     t_slow = time.perf_counter() - t0
 
     ok = ok_dofs and t_fast <= t_slow

@@ -254,6 +254,33 @@ def test_invalid_geometry_nonpositive_weight(tmp_path):
         read_geometry_file(path)
 
 
+_BILINEAR = (
+    "igaplate-geometry v1\npatch\ndegrees {deg}\nknots_u {knots}\nknots_v 0 0 1 1\n"
+    "points\n{point}\n1 0 0 1\n0 1 0 1\n1 1 0 1\nend\n"
+)
+
+
+def _bilinear_file(tmp_path, deg="1 1", knots="0 0 1 1", point="0 0 0 1"):
+    path = tmp_path / "geo.txt"
+    path.write_text(_BILINEAR.format(deg=deg, knots=knots, point=point))
+    return path
+
+
+@pytest.mark.parametrize(
+    ("field", "line"),
+    [({"deg": "1.5 1"}, 3), ({"knots": "0 0 inf inf"}, 4), ({"point": "nan 0 0 1"}, 7), ({"point": "0 0 0 nan"}, 7)],
+    ids=["fractional_degree", "infinite_knot", "nan_coordinate", "nan_weight"],
+)
+def test_parse_error_malformed_number_names_its_line(tmp_path, field, line):
+    with pytest.raises(ParseError, match=f"^line {line}: "):
+        read_geometry_file(_bilinear_file(tmp_path, **field))
+
+
+def test_integral_float_degree_is_accepted(tmp_path):
+    pa = read_geometry_file(_bilinear_file(tmp_path, deg="1.0 1"))
+    assert pa.patches[0].knots_u.degree == 1
+
+
 # error norm ----------------------------------------------------------------------
 
 

@@ -378,8 +378,8 @@ def test_a_thin_mxd_answer_is_within_1e_10_of_its_long_double_refinement():
     from igaplate.sparse import DirectSolver
 
     cfg = SolveConfig(variant="mxd", degree=3, level=2, thickness=1e-4)
-    parts = build_parts(geometry_catalog("mp_various"), cfg)
-    a, b = parts.system_at(cfg.make_material(), BenchmarkProblem("mp_various", thickness=1e-4).load)
+    parts = build_parts(geometry_catalog("mp_various"), cfg, [BenchmarkProblem("mp_various", thickness=1e-4).load])
+    a, b = parts.system_at(cfg.make_material(), 0)
     solver = DirectSolver(a)
     x = solver.solve(b)
     wide, ref = sp.csr_matrix(a, dtype=np.longdouble), x.astype(np.longdouble)
@@ -501,11 +501,11 @@ def test_solve_thicknesses_shares_one_build_and_frees_it(monkeypatch, geometry, 
     build, direct, krylov = module.build_parts, module.DirectSolver, module.KrylovSolver
     built, recovery, alive = [], [], []
 
-    def capturing_build(assembly, config):
-        parts = build(assembly, config)
-        # the parts, their load quadrature, K_dd and every K_dSa; then every X_a
+    def capturing_build(assembly, config, loads):
+        parts = build(assembly, config, loads)
+        # the parts, K_dd and every K_dSa; then every X_a
         couplings = [k for pair in parts.cond.coupling for k in pair]
-        built.extend(weakref.ref(m) for m in (parts, parts.quadrature, parts.fixed, *couplings))
+        built.extend(weakref.ref(m) for m in (parts, parts.fixed, *couplings))
         recovery.extend(weakref.ref(x) for ops in parts.cond.recovery for x in ops)
         return parts
 
@@ -531,13 +531,13 @@ def test_solve_thicknesses_shares_one_build_and_frees_it(monkeypatch, geometry, 
     assert [s.tobytes() for s in first.shear[0]] == [s.tobytes() for s in second.shear[0]]
     assert calls == ([1] if solver == "gmres" else [])
     # everything is alive while the first thickness solves; for the last, the
-    # parts and the quadrature are gone, and so are K_dd and the K_dSa before
-    # a factorisation, while GMRES applies them to its last solve
-    assert len(built) == 5 and len(recovery) == 2
+    # parts are gone, and so are K_dd and the K_dSa before a factorisation,
+    # while GMRES applies them to its last solve
+    assert len(built) == 4 and len(recovery) == 2
     operator = [solver == "gmres"] * 3
-    assert alive == [[True] * 5, [False, False, *operator]]
+    assert alive == [[True] * 4, [False, *operator]]
     # and no result keeps any matrix of the build
-    assert [ref() for ref in built + recovery] == [None] * 7
+    assert [ref() for ref in built + recovery] == [None] * 6
 
 
 @pytest.mark.parametrize("geometry", ["nurbs_distorted", "mp_various"])
@@ -554,14 +554,14 @@ def test_nondimensional_system_is_the_dimensional_one_divided_by_d(geometry, var
     cfg = SolveConfig(variant=variant, degree=2, level=1, thickness=0.1)
     mat = cfg.make_material()
     d = mat.bending_stiffness
-    parts = build_parts(geometry_catalog(geometry), cfg)
+    parts = build_parts(geometry_catalog(geometry), cfg, [load])
     ctx = parts.ctx
-    matrix, rhs = parts.system_at(mat, load)
+    matrix, rhs = parts.system_at(mat, 0)
 
     shear, bend, _, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, mat)
     free = free_dofs(shear.shape[0], boundary)
     primal = (shear + bend)[np.ix_(free, free)]
-    system = assemble_mixed(ctx, mat, load)
+    system = assemble_mixed(ctx, mat, [load])
     n = system.nd
     cond = None
     if variant == "std":
@@ -575,6 +575,7 @@ def test_nondimensional_system_is_the_dimensional_one_divided_by_d(geometry, var
         dim, dim_rhs = cond.k_cond, cond.f_d
         # the primal preconditioner's bending half is the condensed K_dd
         assert np.abs(d * parts.primal(mat) - primal).max() <= 1e-13 * np.abs(primal).max()
+    dim_rhs = dim_rhs[:, 0]  # the column of the one load
     # row scale 1/D on the d rows; mxd: column scale D on the shear unknowns
     # (its galerkin shear rows are thickness-free)
     rows = np.r_[np.full(n, 1.0 / d), np.ones(dim.shape[0] - n)]
@@ -606,9 +607,9 @@ def _condensed(pa, cfg, load):
 
     from igaplate.condense import build_parts
 
-    parts = build_parts(pa, cfg)
+    parts = build_parts(pa, cfg, [load])
     mat = cfg.make_material()
-    k_cond, f_d = parts.system_at(mat, load)
+    k_cond, f_d = parts.system_at(mat, 0)
     return parts.ctx, mat, SimpleNamespace(k_cond=k_cond, f_d=f_d, parts=parts)
 
 
@@ -807,7 +808,7 @@ def test_large_mxd_system_is_solved_by_gmres_on_the_block_triangular_preconditio
     assert diag["n_dof_solved"] == diag["n_dof_mixed"] > diag["n_dof_primal"]
     assert calls == [1]  # the shear-penalty pass; the bending half is the saddle's own K_dd
     mat = cfg.make_material()
-    saddle, rhs = build_parts(pa, cfg).system_at(mat, load)
+    saddle, rhs = build_parts(pa, cfg, [load]).system_at(mat, 0)
     x = solve_direct(saddle, rhs)
     n = diag["n_dof_primal"]
     d_lu, s_lu = x[:n], mat.bending_stiffness * x[n:]
@@ -834,7 +835,7 @@ def test_mxd_above_its_slenderness_bound_never_builds_the_primal_matrix(monkeypa
     assert sol.diagnostics["n_dof_primal"] >= module.GMRES_MIN_DOFS
     assert sol.diagnostics["solver"] == "lu" and sol.diagnostics["iterations"] is None
     assert calls == []
-    saddle, rhs = build_parts(pa, cfg).system_at(cfg.make_material(), load)
+    saddle, rhs = build_parts(pa, cfg, [load]).system_at(cfg.make_material(), 0)
     n = sol.diagnostics["n_dof_primal"]
     direct = expand_displacement(sol.d_full.size, sol.free_d, solve_direct(saddle, rhs)[:n])
     assert sol.d_full.tobytes() == direct.tobytes()
@@ -852,8 +853,8 @@ def test_a_raising_thickness_leaves_no_local_alive_once_its_result_is_dropped(mo
     build = module.build_parts
     refs = []
 
-    def capturing_build(assembly, config):
-        parts = build(assembly, config)
+    def capturing_build(assembly, config, loads):
+        parts = build(assembly, config, loads)
         refs.extend(weakref.ref(m) for m in (parts, parts.ctx, parts.cond))
         return parts
 
@@ -878,6 +879,63 @@ def test_a_raising_thickness_leaves_no_local_alive_once_its_result_is_dropped(mo
         assert [ref() for ref in refs] == [None] * 3
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(("thicknesses", "n_loads"), [([1.0, 0.1], 1), ([1.0], 2)])
+def test_a_load_count_unlike_the_thickness_count_raises_before_any_work(monkeypatch, thicknesses, n_loads):
+    import importlib
+
+    module = importlib.import_module("igaplate.condense")
+    build, direct = module.build_parts, module.DirectSolver
+    work = []
+
+    def counting_build(*args):
+        work.append("build")
+        return build(*args)
+
+    class CountingSolver(direct):
+        def __init__(self, *args):
+            work.append("factor")
+            super().__init__(*args)
+
+    monkeypatch.setattr(module, "build_parts", counting_build)
+    monkeypatch.setattr(module, "DirectSolver", CountingSolver)
+    cfg = SolveConfig(variant="ead", degree=2, level=1, thickness=1.0)
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    with pytest.raises(ValueError, match="loads for"):
+        module.solve_thicknesses(geometry_catalog("undistorted"), cfg, thicknesses, [load] * n_loads)
+    assert work == []
+
+
+def test_loads_are_evaluated_in_the_build_only(monkeypatch):
+    # the build's kernel pass integrates every thickness's load; no load is
+    # called once build_parts has returned
+    import importlib
+
+    module = importlib.import_module("igaplate.condense")
+    build = module.build_parts
+    events = []
+
+    def marking_build(*args):
+        parts = build(*args)
+        events.append("built")
+        return parts
+
+    def recording(load):
+        def call(x, y):
+            events.append("load")
+            return load(x, y)
+
+        return call
+
+    thicknesses = [1.0, 1e-2, 1e-4]
+    loads = [recording(BenchmarkProblem("mp_various", thickness=t).load) for t in thicknesses]
+    monkeypatch.setattr(module, "build_parts", marking_build)
+    cfg = SolveConfig(variant="ead", degree=3, level=2, thickness=1.0)
+    results = module.solve_thicknesses(geometry_catalog("mp_various"), cfg, thicknesses, loads)
+    assert all(isinstance(r, module.VariantSolution) for r in results)
+    assert events.count("built") == 1 and events.count("load") >= len(thicknesses)
+    assert events[-1] == "built"
 
 
 def _level_and_alone(module, cfg):

@@ -116,7 +116,7 @@ def test_shear_never_couples_across_patches():
     from igaplate.condense import assemble_mixed, prepare_problem
 
     ctx = prepare_problem(pa, cfg)
-    system = assemble_mixed(ctx, cfg.make_material(), lambda x, y: np.ones_like(x))
+    system = assemble_mixed(ctx, cfg.make_material(), [lambda x, y: np.ones_like(x)])
     a, _ = system.monolithic()
     a = a.tocsr()
     nd = system.nd
@@ -148,11 +148,11 @@ def test_patch_level_vs_monolithic_condensation():
     from igaplate.sparse import solve_direct
 
     ctx = prepare_problem(pa, cfg)
-    system = assemble_mixed(ctx, cfg.make_material(), prob.load)
+    system = assemble_mixed(ctx, cfg.make_material(), [prob.load])
     t1s, t2s = build_transforms(ctx)
     transformed = pg_transform(system, t1s, t2s)
     cond = condense(transformed, lumped=True)  # per-patch accumulation
-    d_patchwise = solve_direct(cond.k_cond, cond.f_d)
+    d_patchwise = solve_direct(cond.k_cond, cond.f_d[:, 0])
 
     # monolithic block-diagonal treatment of the same transformed system
     k = transformed.k_dd.copy()
@@ -161,7 +161,7 @@ def test_patch_level_vs_monolithic_condensation():
     k_ds1 = sp.hstack(transformed.k_ds1)
     k_ds2 = sp.hstack(transformed.k_ds2)
     k_mono = k - k_ds1 @ t_s1d - k_ds2 @ t_s2d
-    d_mono = solve_direct(k_mono.tocsr(), transformed.f_d)
+    d_mono = solve_direct(k_mono.tocsr(), transformed.f_d[:, 0])
     assert np.abs(d_patchwise - d_mono).max() <= 1e-11 * max(1.0, np.abs(d_mono).max())
 
 

@@ -27,8 +27,8 @@ def unit_patch():
 def _one_patch_primal(disc, mat, load=None):
     """Primal (K, f, boundary_d) of one patch in its own d numbering."""
     pa = build_dof_map([disc.spaces.patch])
-    shear, bending, quad, boundary = assemble_primal_multipatch(pa, [disc], mat)
-    return bending + shear, quad.vector(load), boundary
+    shear, bending, f, boundary = assemble_primal_multipatch(pa, [disc], mat, loads=[load])
+    return bending + shear, f[:, 0], boundary
 
 
 # material ----------------------------------------------------------------------
@@ -470,13 +470,13 @@ def _all_blocks(geometry, p, level, variant="ead", load=None):
     cfg = SolveConfig(variant=variant, degree=p, level=level, thickness=0.1)
     ctx = prepare_problem(geometry_catalog(geometry), cfg)
     mat = cfg.make_material()
-    system = assemble_multipatch(ctx.refined, ctx.discs, mat, cfg.scheme, load)
-    shear, bending, quad, _ = assemble_primal_multipatch(ctx.refined, ctx.discs, mat)
+    system = assemble_multipatch(ctx.refined, ctx.discs, mat, cfg.scheme, [load])
+    shear, bending, f, _ = assemble_primal_multipatch(ctx.refined, ctx.discs, mat, loads=[load])
     blocks = {"k_dd": system.k_dd, "shear": shear, "bending": bending}
     for name in ("k_ds1", "k_ds2", "k_s1d", "k_s2d", "k_s11", "k_s22"):
         for patch, block in enumerate(getattr(system, name)):
             blocks[f"{name}[{patch}]"] = block
-    return blocks, (system.f_d, quad.vector(load)), ctx, mat, cfg.scheme
+    return blocks, (system.f_d[:, 0], f[:, 0]), ctx, mat, cfg.scheme
 
 
 @pytest.mark.parametrize(

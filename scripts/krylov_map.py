@@ -2,15 +2,15 @@
 """Map where GMRES on the primal factor converges, against mesh slenderness.
 
 For every cell of the grid this forces the Krylov attempt of
-`condense.solve_variant` (both of its gates opened, the `mxd` and `lmp`
-bounds with the others) and prints one row:
+`condense.solve_variant` (both of its gates opened for every variant but
+`std`, `lmp` included) and prints one row:
 geometry, variant, p, L, t, n (free d DOFs), alpha = kGt h^2 / D
 (`condense.mesh_slenderness`), the GMRES iterations, whether the answer was
 accepted, and the seconds the whole solve took.  Rerun it whenever the
-element kernels, the transforms or the Krylov gates change, and set
-`condense.GMRES_MAX_SLENDERNESS` (for `mxd`, `GMRES_MAX_SLENDERNESS_MXD`;
-for `lmp`, `GMRES_MAX_SLENDERNESS_LMP`) where every cell up to it converges,
-below the smallest alpha that does not.  BLAS runs on one thread.
+element kernels, the transforms or the Krylov gates change, and set each
+variant's bound in `condense.GMRES_MAX_SLENDERNESS` where every cell up to
+it converges, below the smallest alpha that does not.  BLAS runs on one
+thread.
 
 Usage:
     PYTHONPATH=src python scripts/krylov_map.py [--geometries c0_single,mp_various]
@@ -56,9 +56,7 @@ def main(argv=None) -> int:
 
     # open both gates, so every cell tries GMRES before any LU
     condense.GMRES_MIN_DOFS = 0
-    condense.GMRES_MAX_SLENDERNESS = np.inf
-    condense.GMRES_MAX_SLENDERNESS_MXD = np.inf
-    condense.GMRES_MAX_SLENDERNESS_LMP = np.inf
+    condense.GMRES_MAX_SLENDERNESS = {v: np.inf for v in condense.VARIANTS if v != "std"}
     load = lambda x, y: np.ones_like(x)  # noqa: E731
     print("geometry,variant,p,L,t,n,alpha,iterations,accepted,seconds")
     for geometry in _split(args.geometries):

@@ -451,6 +451,8 @@ class StudyConfig:
     def __post_init__(self):
         if len(self.levels) < 2:
             raise ValueError("need at least two levels to observe a rate")
+        if self.levels[0] < 0 or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError(f"levels must be non-negative and strictly increasing, got {self.levels}")
 
 
 @dataclass
@@ -562,7 +564,7 @@ def run_convergence_study(config: StudyConfig) -> list[ConvergenceRecord]:
                     solved[t, level] = sol if isinstance(sol, VariantSolution) else type(sol).__name__
             for t in config.thicknesses:
                 problem = BenchmarkProblem(geometry=config.geometry, thickness=t)
-                prev_err = None
+                prev_err = prev_level = None
                 for level in config.levels:
                     cell = dict(
                         geometry=config.geometry,
@@ -583,8 +585,9 @@ def run_convergence_study(config: StudyConfig) -> list[ConvergenceRecord]:
                         prev_err = None
                         continue
                     d = sol.diagnostics
-                    rate = None if prev_err is None else math.log2(prev_err / err)
-                    prev_err = err
+                    # per halving of the element size: a step of k levels halves it k times
+                    rate = None if prev_err is None else math.log2(prev_err / err) / (level - prev_level)
+                    prev_err, prev_level = err, level
                     records.append(
                         ConvergenceRecord(
                             **cell,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import bench
 from .condense import VARIANTS, SolveConfig
@@ -58,11 +59,14 @@ def _as_list(cast):
 
 
 def _as_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes", "on")
+    value = text.lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"{text!r} is not one of 1/0, true/false, yes/no, on/off")
+    return value in ("1", "true", "yes", "on")
 
 
-# config key -> (StudyConfig field, cast); a later key wins over an earlier
-# alias of the same field
+# config key -> (StudyConfig field, cast); a field may be given once, under
+# one of its keys
 _CONFIG_KEYS = {
     "geometry": ("geometry", str),
     "variants": ("variants", _as_list(str)),
@@ -80,7 +84,8 @@ _CONFIG_KEYS = {
 
 
 def _parse_config_file(path: str) -> bench.StudyConfig:
-    values: dict = {}
+    values: dict = {}  # StudyConfig field -> (key, value, line number)
+    unknown = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -88,27 +93,32 @@ def _parse_config_file(path: str) -> bench.StudyConfig:
                 continue
             if "=" not in line:
                 raise bench.ParseError(f"line {lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key not in _CONFIG_KEYS:
+                unknown.add(key)
+                continue
+            field, cast = _CONFIG_KEYS[key]
+            if field in values:
+                first, _, first_line = values[field]
+                raise bench.ParseError(
+                    f"line {lineno}: {key!r} sets {field!r} again, set by {first!r} on line {first_line}"
+                )
+            try:
+                values[field] = (key, cast(val), lineno)
+            except ValueError as exc:
+                raise bench.ParseError(f"line {lineno}: bad {key!r}: {exc}") from exc
 
     if "geometry" not in values:
         raise bench.ParseError("config needs a 'geometry' entry")
-    kwargs = {
-        field: cast(values[key]) for key, (field, cast) in _CONFIG_KEYS.items() if key in values
-    }
-    unknown = sorted(set(values) - set(_CONFIG_KEYS))
     if unknown:
-        raise bench.ParseError(f"unknown config keys: {unknown}")
-    return bench.StudyConfig(**kwargs)
+        raise bench.ParseError(f"unknown config keys: {sorted(unknown)}")
+    return bench.StudyConfig(**{field: value for field, (_, value, _) in values.items()})
 
 
 def _convergence(args) -> int:
     config = _parse_config_file(args.config)
-    records = bench.run_convergence_study(config)
-    out = config.out or "results.csv"
-    if not config.out:
-        with open(out, "w") as fh:
-            fh.write(bench.records_to_csv(records, config.record_timings))
+    config = replace(config, out=config.out or "results.csv")
+    records = bench.run_convergence_study(config)  # writes config.out
     failed = [r for r in records if r.error]
     for r in records:
         status = f"error:{r.error}" if r.error else f"l2={r.l2_error:.6e}"
@@ -116,7 +126,7 @@ def _convergence(args) -> int:
             f"{r.geometry} {r.variant} p={r.p} t={r.t} level={r.level} "
             f"elems={r.elems_per_dir} {status}"
         )
-    print(f"wrote {out} ({len(records)} cells, {len(failed)} failed)")
+    print(f"wrote {config.out} ({len(records)} cells, {len(failed)} failed)")
     return 2 if failed else 0
 
 

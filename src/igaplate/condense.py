@@ -40,7 +40,7 @@ from .plate import (
     free_dofs,
     material,
 )
-from .sparse import DirectSolver, KrylovSolver, bandwidth_of_sum, nnz_and_bandwidth
+from .sparse import DirectSolver, KrylovSolver, nnz_and_bandwidth
 from .splines import SurfacePatch
 
 
@@ -58,19 +58,18 @@ VARIANTS = ("std", "mxd", "lmp", "ad", "ead")
 # solved by GMRES preconditioned with the primal matrix's LU; smaller ones by
 # LU alone.  Break-even measured on c1_single and nurbs_distorted (see README).
 GMRES_MIN_DOFS = 1000
-# ... and only if the mesh slenderness kGt h^2 / D is at most this.  The
-# primal preconditioner locks in shear as it grows: every measured ead cell
-# up to 187 converged, every one from 380 was rejected (table in README;
-# remeasure with scripts/krylov_map.py).
-GMRES_MAX_SLENDERNESS = 250.0
-# The bound for mxd, whose saddle matrix is preconditioned by the primal
-# matrix in a block triangle (see KrylovSolver): every measured mxd cell up
-# to 61 converged, the first were rejected at 95 (table in README).
-GMRES_MAX_SLENDERNESS_MXD = 60.0
-# lmp never tries GMRES: plain lumping moves its condensed matrix so far from
-# the primal one that every measured cell needed all 60 iterations, even at
-# t=1 (README).
-GMRES_MAX_SLENDERNESS_LMP = -np.inf
+# ... and only if the mesh slenderness kGt h^2 / D is at most their variant's
+# bound here; a variant without one (std, lmp) never tries GMRES.  The primal
+# preconditioner locks in shear as the slenderness grows (tables in README;
+# remeasure with scripts/krylov_map.py):
+#   ad, ead  every measured ead cell up to 187 converged, every one from 380
+#            was rejected;
+#   mxd      its saddle matrix is preconditioned by the primal matrix in a
+#            block triangle (see KrylovSolver): every measured cell up to 61
+#            converged, the first were rejected at 95;
+#   lmp      plain lumping moves its condensed matrix so far from the primal
+#            one that every measured cell needed all 60 iterations, even at t=1.
+GMRES_MAX_SLENDERNESS = {"mxd": 60.0, "ad": 250.0, "ead": 250.0}
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
+        if self.level < 0:
+            raise ValueError(f"refinement level must be non-negative, got {self.level}")
 
     @property
     def reduction(self) -> bool:
@@ -226,16 +227,6 @@ def row_sum_lump(block, require_positive: bool = False) -> tuple[np.ndarray, flo
     return diag, dev
 
 
-def shear_part(coupling: list, recovery: list) -> sp.csr_matrix:
-    """sum_a K_dSa X_a, patch by patch and S1 before S2: the one place the product is formed."""
-    shear = None
-    for pair, ops in zip(coupling, recovery):
-        for k_ds, x in zip(pair, ops):
-            part = k_ds @ x
-            shear = part if shear is None else shear + part
-    return shear.tocsr()
-
-
 @dataclass
 class CondensedSystem:
     """Displacement-only system with per-patch shear recovery operators.
@@ -262,7 +253,13 @@ class CondensedSystem:
 
     @property
     def k_shear(self) -> sp.csr_matrix:
-        return shear_part(self.coupling, self.recovery)
+        """sum_a K_dSa X_a, patch by patch and S1 before S2: the one place the product is formed."""
+        shear = None
+        for pair, ops in zip(self.coupling, self.recovery):
+            for k_ds, x in zip(pair, ops):
+                part = k_ds @ x
+                shear = part if shear is None else shear + part
+        return shear.tocsr()
 
     @property
     def k_cond(self) -> sp.csr_matrix:
@@ -297,12 +294,8 @@ class CondensedOperator(spla.LinearOperator):
         return self.k_dd.T @ v + self.c * sum(x.T @ (k_ds.T @ v) for k_ds, x in self.pairs)
 
     def nnz_and_bandwidth(self) -> tuple[int, int]:
-        """Entries stored by the parts applied, and the formed matrix's bandwidth chained through them.
-
-        An exact count of the formed matrix would cost as much as forming it.
-        """
-        nnz = self.k_dd.nnz + sum(k_ds.nnz + x.nnz for k_ds, x in self.pairs)
-        return nnz, bandwidth_of_sum(self.k_dd, self.pairs)
+        """Entries stored by the parts applied, and the formed matrix's bandwidth chained through them."""
+        return nnz_and_bandwidth(self.k_dd, self.pairs)
 
 
 def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
@@ -425,7 +418,7 @@ class ThicknessFreeParts:
     continuity reduction) with unit material scalars, D = 1 and
     kappa*G*t = 1 (see build_parts).  Thickness enters every block through
     these two scalars only, so each thickness's system divided by D is the
-    pencil fixed + scale(mat) * scaled against its f / D (see system_at):
+    pencil fixed + scale(mat) * scaled against its f / D (matrix_at, rhs_at):
 
       std           bending + (kGt/D) * shear penalty
       lmp, ad, ead  K_dd - (kGt/D) * sum_a K_dSa X_a
@@ -483,10 +476,6 @@ class ThicknessFreeParts:
         f[: len(self.free)] = self.loads[:, i] / mat.bending_stiffness
         return f
 
-    def system_at(self, mat, i: int) -> tuple:
-        """Matrix and right-hand side of mat's system under load i, nondimensionalised by D."""
-        return self.matrix_at(mat), self.rhs_at(mat, i)
-
     def split(self, x: np.ndarray, mat) -> tuple:
         """The free d DOFs and per-patch shear (S1, S2), None for std, of an answer x of mat's system."""
         if self.cond is not None:
@@ -542,9 +531,8 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     All variants share one factorisation and one solve of the
     nondimensional system.  A mixed or condensed system with at least
     GMRES_MIN_DOFS free d DOFs, a mesh slenderness of at most its
-    variant's bound (GMRES_MAX_SLENDERNESS; for mxd and lmp,
-    GMRES_MAX_SLENDERNESS_MXD and _LMP) and no condition estimate asked for
-    is first solved by GMRES preconditioned with the LU of the
+    variant's bound in GMRES_MAX_SLENDERNESS and no condition estimate asked
+    for is first solved by GMRES preconditioned with the LU of the
     primal matrix on the same DOFs (mxd: in a block triangle with the shear
     block, see KrylovSolver).  GMRES applies a condensed (lmp/ad/ead)
     matrix from its parts (ThicknessFreeParts.operator_at), so the shear
@@ -579,8 +567,7 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
         return [exc] * len(thicknesses)
     ctx, free = parts.ctx, parts.free
     ns_total = sum(s.s1.ndof + s.s2.ndof for s in ctx.spaces)
-    bounds = {"mxd": GMRES_MAX_SLENDERNESS_MXD, "lmp": GMRES_MAX_SLENDERNESS_LMP}
-    bound = bounds.get(config.variant, GMRES_MAX_SLENDERNESS)
+    bound = GMRES_MAX_SLENDERNESS.get(config.variant)
     out = []
     try:
         for i, t in enumerate(thicknesses):
@@ -596,7 +583,7 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                 if parts.cond is not None:
                     diagnostics["condense_mode"] = parts.cond.mode
                 if (
-                    cfg.variant != "std"
+                    bound is not None
                     and not cfg.estimate_condition
                     and len(free) >= GMRES_MIN_DOFS
                     and mesh_slenderness(ctx, mat) <= bound

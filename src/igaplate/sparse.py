@@ -362,25 +362,22 @@ def _band(lo: np.ndarray, hi: np.ndarray) -> int:
     return int(max((rows - lo[rows]).max(), (hi[rows] - rows).max()))
 
 
-def bandwidth_of_sum(a: sp.csr_matrix, products) -> int:
-    """Max |row-col| over the pattern of a + sum of b @ c over the pairs (b, c) in products.
+def nnz_and_bandwidth(a: sp.csr_matrix | sp.csc_matrix, products=()) -> tuple[int, int]:
+    """Stored entry count and max |row-col| over the stored entries of a + sum of b @ c.
 
-    Chains each row's least and largest stored column through b and c in
-    O(nnz), so no product is formed.  The formed sum can only be narrower,
+    The sum runs over the pairs (b, c) of the sequence products.  a's index
+    arrays are read as stored, CSR or CSC (the band is the larger of a's and
+    the products'), with no copy of the matrix; the indices need not be
+    sorted and are left as they are (see _inf_norm).  With products, the
+    count is of the entries a and every b and c store, as an exact count of
+    the formed sum would cost as much as forming it, and each row's least
+    and largest stored column is chained through b and c in O(nnz), so no
+    product is formed.  The formed sum's bandwidth can only be narrower,
     where an extreme entry cancels to exactly zero and is dropped.
     """
-    lo, hi = _index_range(a.tocsr())
+    lo, hi = _index_range(a)
     for b, c in products:
         b_lo, b_hi = _index_range(b.tocsr(), *_index_range(c.tocsr()))
         np.minimum(lo, b_lo, out=lo)
         np.maximum(hi, b_hi, out=hi)
-    return _band(lo, hi)
-
-
-def nnz_and_bandwidth(a: sp.csr_matrix | sp.csc_matrix) -> tuple[int, int]:
-    """Stored entry count and max |row-col| over the stored entries.
-
-    Read from the index arrays as stored, with no copy of the matrix; the
-    indices need not be sorted and are left as they are (see _inf_norm).
-    """
-    return int(a.nnz), _band(*_index_range(a))
+    return int(a.nnz + sum(b.nnz + c.nnz for b, c in products)), _band(lo, hi)

@@ -509,6 +509,29 @@ def test_l2_error_tabulates_each_level_once_for_all_thicknesses(monkeypatch):
     assert len([nq for nq in built if nq is not None]) == 8
 
 
+def test_rate_over_a_level_gap_is_per_halving_of_the_element_size():
+    # levels 1 and 3 are two halvings apart: the rate is the mean of the two
+    # consecutive ones, not their sum
+    study = dict(geometry="undistorted", variants=("mxd",), degrees=(2,), thicknesses=(1.0,))
+    gap = run_convergence_study(StudyConfig(levels=(1, 3), **study))
+    steps = run_convergence_study(StudyConfig(levels=(1, 2, 3), **study))
+    assert [r.l2_error for r in gap] == [steps[0].l2_error, steps[2].l2_error]
+    assert gap[1].rate == math.log2(gap[0].l2_error / gap[1].l2_error) / 2
+    assert abs(gap[1].rate - (steps[1].rate + steps[2].rate) / 2) <= 1e-12
+    assert steps[1].rate == math.log2(steps[0].l2_error / steps[1].l2_error)
+
+
+def test_a_negative_level_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        SolveConfig(variant="mxd", degree=2, level=-1, thickness=1.0)
+
+
+@pytest.mark.parametrize("levels", [(-1, 0), (1, 1, 2), (1, 2, 2), (3, 1), (2, 3, 1)])
+def test_study_levels_must_be_non_negative_and_strictly_increasing(levels):
+    with pytest.raises(ValueError, match="non-negative and strictly increasing"):
+        StudyConfig(geometry="undistorted", levels=levels)
+
+
 def test_least_squares_rate():
     errs = [1.0, 0.25, 0.0625, 0.015625]
     assert abs(least_squares_rate(errs, last=3) - 2.0) < 1e-12
@@ -657,6 +680,40 @@ def test_config_file_keys_aliases_and_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("continuity_reduction = yse\n", r"line 2: bad 'continuity_reduction': 'yse' is not one of"),
+        ("record_timings = treu\n", r"line 2: bad 'record_timings': 'treu' is not one of"),
+        ("levels = 1,x\n", r"line 2: bad 'levels': invalid literal for int\(\)"),
+        ("levels = 1,2\nlevels = 1,3\n", r"line 3: 'levels' sets 'levels' again, set by 'levels' on line 2"),
+        ("variant = mxd\nvariants = ead\n", r"line 3: 'variants' sets 'variants' again, set by 'variant' on line 2"),
+        ("variants = ead\nvariant = mxd\n", r"line 3: 'variant' sets 'variants' again, set by 'variants' on line 2"),
+    ],
+    ids=["boolean", "boolean-timings", "integer", "repeated-key", "alias-after-key", "key-after-alias"],
+)
+def test_config_file_errors_name_their_line(tmp_path, text, message):
+    from igaplate.cli import _parse_config_file
+
+    path = tmp_path / "study.cfg"
+    path.write_text("geometry = undistorted\n" + text)
+    with pytest.raises(ParseError, match=message):
+        _parse_config_file(str(path))
+
+
+def test_cli_convergence_writes_results_csv_by_default(tmp_path, monkeypatch, capsys):
+    from igaplate.cli import main
+
+    study = "geometry = undistorted\nvariants = ead\ndegrees = 2\nlevels = 1,2\nrecord_timings = off\n"
+    (tmp_path / "study.cfg").write_text(study)
+    (tmp_path / "named.cfg").write_text(study + "out = named.csv\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["convergence", "--config", "study.cfg"]) == 0
+    assert capsys.readouterr().out.endswith("wrote results.csv (2 cells, 0 failed)\n")
+    assert main(["convergence", "--config", "named.cfg"]) == 0
+    assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "named.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
     "field,value", [("thickness", 0.2), ("e_mod", 2e4), ("nu", 0.25), ("kappa", 1.0)]
 )
 def test_run_single_rejects_a_problem_and_config_for_different_plates(field, value):
@@ -735,3 +792,24 @@ def test_cell_digests_script_pins_each_cell(capsys, monkeypatch):
     d = sol.diagnostics
     pattern = f"{d['nnz_solved']} {d['lump_dev']!r}"
     assert lines[3] == f"ead p=2 t=1.0 L=2 {digest} {l2_error(sol, problem)!r} lu None {d['lu_fill']} {pattern}"
+
+
+def test_cell_digests_script_digests_a_workloads_study_cells(capsys, monkeypatch):
+    import importlib.util
+
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # the script sets these on import; restored after the test
+    root = os.path.join(os.path.dirname(__file__), "..")
+    spec = importlib.util.spec_from_file_location("cell_digests", os.path.join(root, "scripts", "cell_digests.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--workload", "smooth_study"]) == 0
+    keys = [" ".join(line.split()[:4]) for line in capsys.readouterr().out.splitlines()]
+
+    monkeypatch.syspath_prepend(os.path.join(root, "studybench"))
+    from workloads import WORKLOADS, run_pass
+
+    workload = WORKLOADS["smooth_study"]
+    cells = run_pass(workload)[: -len(workload.singles)]  # the singles come last
+    assert len(cells) == 48
+    assert keys == [f"{v} p={p} t={t!r} L={level}" for v, p, t, level in (c["key"] for c in cells)]

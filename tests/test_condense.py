@@ -379,7 +379,8 @@ def test_a_thin_mxd_answer_is_within_1e_10_of_its_long_double_refinement():
 
     cfg = SolveConfig(variant="mxd", degree=3, level=2, thickness=1e-4)
     parts = build_parts(geometry_catalog("mp_various"), cfg, [BenchmarkProblem("mp_various", thickness=1e-4).load])
-    a, b = parts.system_at(cfg.make_material(), 0)
+    mat = cfg.make_material()
+    a, b = parts.matrix_at(mat), parts.rhs_at(mat, 0)
     solver = DirectSolver(a)
     x = solver.solve(b)
     wide, ref = sp.csr_matrix(a, dtype=np.longdouble), x.astype(np.longdouble)
@@ -556,7 +557,7 @@ def test_nondimensional_system_is_the_dimensional_one_divided_by_d(geometry, var
     d = mat.bending_stiffness
     parts = build_parts(geometry_catalog(geometry), cfg, [load])
     ctx = parts.ctx
-    matrix, rhs = parts.system_at(mat, 0)
+    matrix, rhs = parts.matrix_at(mat), parts.rhs_at(mat, 0)
 
     shear, bend, _, boundary = assemble_primal_multipatch(ctx.refined, ctx.discs, mat)
     free = free_dofs(shear.shape[0], boundary)
@@ -609,8 +610,7 @@ def _condensed(pa, cfg, load):
 
     parts = build_parts(pa, cfg, [load])
     mat = cfg.make_material()
-    k_cond, f_d = parts.system_at(mat, 0)
-    return parts.ctx, mat, SimpleNamespace(k_cond=k_cond, f_d=f_d, parts=parts)
+    return parts.ctx, mat, SimpleNamespace(k_cond=parts.matrix_at(mat), f_d=parts.rhs_at(mat, 0), parts=parts)
 
 
 def test_large_condensed_system_is_solved_by_gmres_on_the_primal_factor(monkeypatch):
@@ -647,17 +647,16 @@ def test_large_condensed_system_is_solved_by_gmres_on_the_primal_factor(monkeypa
 
 def _count_shear_products(monkeypatch):
     """Patch condense's one product sum_a K_dSa X_a to record each call; returns the record."""
-    import importlib
+    from igaplate.condense import CondensedSystem
 
-    module = importlib.import_module("igaplate.condense")
     calls = []
-    product = module.shear_part
+    product = CondensedSystem.k_shear.fget
 
-    def counting(*args):
+    def counting(self):
         calls.append(1)
-        return product(*args)
+        return product(self)
 
-    monkeypatch.setattr(module, "shear_part", counting)
+    monkeypatch.setattr(CondensedSystem, "k_shear", property(counting))
     return calls
 
 
@@ -708,7 +707,7 @@ def test_rejected_krylov_answer_falls_back_to_the_direct_solve(monkeypatch):
     from igaplate.plate import expand_displacement
 
     # lmp never tries GMRES; open its bound, as scripts/krylov_map.py does
-    monkeypatch.setattr(importlib.import_module("igaplate.condense"), "GMRES_MAX_SLENDERNESS_LMP", np.inf)
+    monkeypatch.setitem(importlib.import_module("igaplate.condense").GMRES_MAX_SLENDERNESS, "lmp", np.inf)
     pa = geometry_catalog("c0_single")
     load = lambda x, y: np.ones_like(x)  # noqa: E731
     products = _count_shear_products(monkeypatch)
@@ -721,7 +720,7 @@ def test_rejected_krylov_answer_falls_back_to_the_direct_solve(monkeypatch):
         sol = solve_variant(pa, cfg, load=load)
         assert products == [1]
         assert sol.diagnostics["n_dof_solved"] == 1083
-        assert mesh_slenderness(sol.ctx, cfg.make_material()) <= GMRES_MAX_SLENDERNESS
+        assert mesh_slenderness(sol.ctx, cfg.make_material()) <= GMRES_MAX_SLENDERNESS["ead"]
         assert sol.diagnostics["solver"] == "lu"
         assert sol.diagnostics["iterations"] == 60
         ctx, _, cond = _condensed(pa, cfg, load)
@@ -765,7 +764,7 @@ def test_thin_plate_above_the_slenderness_gate_never_builds_the_primal_matrix(mo
     sol = solve_variant(pa, cfg, load=load)
     monkeypatch.undo()
     assert sol.diagnostics["n_dof_solved"] >= module.GMRES_MIN_DOFS
-    assert module.mesh_slenderness(sol.ctx, cfg.make_material()) > module.GMRES_MAX_SLENDERNESS
+    assert module.mesh_slenderness(sol.ctx, cfg.make_material()) > module.GMRES_MAX_SLENDERNESS["ead"]
     assert sol.diagnostics["solver"] == "lu" and sol.diagnostics["iterations"] is None
     assert calls == []
     _, _, cond = _condensed(pa, cfg, load)
@@ -784,7 +783,7 @@ def test_lmp_never_tries_gmres(monkeypatch):
     sol = solve_variant(pa, cfg, load=load)
     monkeypatch.undo()
     assert sol.diagnostics["n_dof_primal"] >= module.GMRES_MIN_DOFS
-    assert module.mesh_slenderness(sol.ctx, cfg.make_material()) <= module.GMRES_MAX_SLENDERNESS
+    assert module.mesh_slenderness(sol.ctx, cfg.make_material()) <= module.GMRES_MAX_SLENDERNESS["ead"]
     assert sol.diagnostics["solver"] == "lu" and sol.diagnostics["iterations"] is None
     assert calls == []
     _, _, cond = _condensed(pa, cfg, load)
@@ -808,7 +807,8 @@ def test_large_mxd_system_is_solved_by_gmres_on_the_block_triangular_preconditio
     assert diag["n_dof_solved"] == diag["n_dof_mixed"] > diag["n_dof_primal"]
     assert calls == [1]  # the shear-penalty pass; the bending half is the saddle's own K_dd
     mat = cfg.make_material()
-    saddle, rhs = build_parts(pa, cfg, [load]).system_at(mat, 0)
+    parts = build_parts(pa, cfg, [load])
+    saddle, rhs = parts.matrix_at(mat), parts.rhs_at(mat, 0)
     x = solve_direct(saddle, rhs)
     n = diag["n_dof_primal"]
     d_lu, s_lu = x[:n], mat.bending_stiffness * x[n:]
@@ -831,11 +831,12 @@ def test_mxd_above_its_slenderness_bound_never_builds_the_primal_matrix(monkeypa
 
     # slender enough for mxd's bound, not for the condensed variants' one (137)
     alpha = module.mesh_slenderness(sol.ctx, cfg.make_material())
-    assert module.GMRES_MAX_SLENDERNESS_MXD < alpha <= module.GMRES_MAX_SLENDERNESS
+    assert module.GMRES_MAX_SLENDERNESS["mxd"] < alpha <= module.GMRES_MAX_SLENDERNESS["ead"]
     assert sol.diagnostics["n_dof_primal"] >= module.GMRES_MIN_DOFS
     assert sol.diagnostics["solver"] == "lu" and sol.diagnostics["iterations"] is None
     assert calls == []
-    saddle, rhs = build_parts(pa, cfg, [load]).system_at(cfg.make_material(), 0)
+    mat, parts = cfg.make_material(), build_parts(pa, cfg, [load])
+    saddle, rhs = parts.matrix_at(mat), parts.rhs_at(mat, 0)
     n = sol.diagnostics["n_dof_primal"]
     direct = expand_displacement(sol.d_full.size, sol.free_d, solve_direct(saddle, rhs)[:n])
     assert sol.d_full.tobytes() == direct.tobytes()

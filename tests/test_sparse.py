@@ -18,7 +18,6 @@ from igaplate.sparse import (
     KrylovSolver,
     SingularMatrix,
     _inf_norm,
-    bandwidth_of_sum,
     nnz_and_bandwidth,
     rcm_band,
     solve_direct,
@@ -325,6 +324,7 @@ def test_the_gate_norm_of_an_operator_is_at_most_the_inf_norm_of_its_matrix():
 
 
 def test_bandwidth_of_a_sum_of_products_is_read_without_forming_them():
+    # the count is of the entries the parts store, not of the formed sum
     rng = np.random.default_rng(3)
     n, m = 70, 40
     a = sp.diags([np.ones(n - 2), np.ones(n), np.ones(n - 3)], [-2, 0, 3], format="csr")
@@ -334,7 +334,9 @@ def test_bandwidth_of_a_sum_of_products_is_read_without_forming_them():
         c = sp.random(m, n, density=0.03, random_state=rng, format="csr")
         pairs.append((b, c))
         formed = a + sum(b @ c for b, c in pairs)
-        assert bandwidth_of_sum(a, pairs) == nnz_and_bandwidth(formed.tocsr())[1]
+        stored = a.nnz + sum(b.nnz + c.nnz for b, c in pairs)
+        assert nnz_and_bandwidth(a, pairs) == (stored, nnz_and_bandwidth(formed.tocsr())[1])
+        assert nnz_and_bandwidth(a.tocsc(), pairs) == nnz_and_bandwidth(a, pairs)  # a is read as stored
     empty = sp.csr_matrix((n, n))
-    assert bandwidth_of_sum(empty, []) == 0
-    assert bandwidth_of_sum(empty, pairs[:1]) == nnz_and_bandwidth((pairs[0][0] @ pairs[0][1]).tocsr())[1]
+    assert nnz_and_bandwidth(empty, []) == (0, 0)
+    assert nnz_and_bandwidth(empty, pairs[:1])[1] == nnz_and_bandwidth((pairs[0][0] @ pairs[0][1]).tocsr())[1]

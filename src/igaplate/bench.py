@@ -606,14 +606,3 @@ def run_convergence_study(config: StudyConfig) -> list[ConvergenceRecord]:
         with open(config.out, "w") as fh:
             fh.write(records_to_csv(records, config.record_timings))
     return records
-
-
-def least_squares_rate(errors, last: int = 3) -> float:
-    """Least-squares error-decay slope over the final levels (mesh halving)."""
-    errs = [e for e in errors if e is not None]
-    if len(errs) < 2:
-        raise ValueError("need at least two errors for a rate")
-    tail = np.log2(np.asarray(errs[-last:], dtype=float))
-    lev = np.arange(len(tail), dtype=float)
-    slope = np.polyfit(lev, tail, 1)[0]
-    return float(-slope)

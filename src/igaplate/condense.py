@@ -55,8 +55,8 @@ class NonPositiveDiagonal(Exception):
 VARIANTS = ("std", "mxd", "lmp", "ad", "ead")
 
 # Mixed and condensed systems with at least this many free d DOFs are first
-# solved by GMRES preconditioned with the primal matrix's LU; smaller ones by
-# LU alone.  Break-even measured on c1_single and nurbs_distorted (see README).
+# solved by GMRES preconditioned with the primal matrix's factor; smaller ones
+# by LU alone.  Break-even measured on c1_single and nurbs_distorted (see README).
 GMRES_MIN_DOFS = 1000
 # ... and only if the mesh slenderness kGt h^2 / D is at most their variant's
 # bound here; a variant without one (std, lmp) never tries GMRES.  The primal
@@ -451,12 +451,16 @@ class ThicknessFreeParts:
         """Primal matrix of mat divided by D on the free d DOFs, bending + (kGt/D) shear.
 
         Its bending part is the leading block of fixed, the system's own
-        K_dd: the same bending blocks summed in the same order.
+        K_dd: the same bending blocks summed in the same order.  The sum P
+        is returned as (P + P^T) / 2, exactly symmetric, so that KrylovSolver
+        may factorise it by a band Cholesky; P itself is symmetric only up
+        to the round-off of the element products (9e-17 relative).
         """
         if self.penalty is None:
             self.penalty = _primal_parts(self.ctx, bending=False)[0]
         n = len(self.free)
-        return (self.fixed[:n, :n] + _ratio(mat) * self.penalty).tocsc()
+        p = self.fixed[:n, :n] + _ratio(mat) * self.penalty
+        return (0.5 * (p + p.T)).tocsc()
 
     def matrix_at(self, mat) -> sp.csr_matrix:
         """Matrix of mat's system divided by D, formed."""
@@ -532,11 +536,12 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     nondimensional system.  A mixed or condensed system with at least
     GMRES_MIN_DOFS free d DOFs, a mesh slenderness of at most its
     variant's bound in GMRES_MAX_SLENDERNESS and no condition estimate asked
-    for is first solved by GMRES preconditioned with the LU of the
-    primal matrix on the same DOFs (mxd: in a block triangle with the shear
-    block, see KrylovSolver).  GMRES applies a condensed (lmp/ad/ead)
-    matrix from its parts (ThicknessFreeParts.operator_at), so the shear
-    part sum_a K_dSa X_a is formed only for a direct factorisation.  If the
+    for is first solved by GMRES preconditioned with the factor of the
+    primal matrix on the same DOFs, a band Cholesky where it fits (mxd: in
+    a block triangle with the shear block, see KrylovSolver).  GMRES
+    applies a condensed (lmp/ad/ead) matrix from its parts
+    (ThicknessFreeParts.operator_at), so the shear part sum_a K_dSa X_a is
+    formed only for a direct factorisation.  If the
     Krylov answer misses the Krylov gates, the matrix is formed and
     factorised directly as for every other system (see DirectSolver).
 

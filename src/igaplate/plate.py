@@ -595,8 +595,9 @@ def boundary_point_ids(grid) -> np.ndarray:
 
 
 def _sides(disc: PatchDiscretization) -> dict:
-    """The sides of one patch's blocks by name: all d ids, the rotation pairs, w with
-    one rotation, and the shear spaces, each as (grid, groups, size).
+    """The sides of one patch's blocks by name: all d ids (w, theta_1 and theta_2 apart),
+    the rotation pairs, w with one rotation, and the shear spaces, each as
+    (grid, groups, size).
 
     Every element holds count[0] x count[1] functions of the grid (first,
     count, shape), from first[0][eu] and first[1][ev] on; point (i_u, i_v)
@@ -609,12 +610,12 @@ def _sides(disc: PatchDiscretization) -> dict:
     d = ((disc.first_du, disc.first_dv), (pu + 1, pv + 1), spaces.disp.shape)
     s1 = ((disc.first_1u, disc.first_dv), (pu, pv + 1), spaces.s1.shape)
     s2 = ((disc.first_du, disc.first_2v), (pu + 1, pv), spaces.s2.shape)
-    one, rot = (0, 1, 1), (nw, 2, 2)
+    one, rot, t1, t2 = (0, 1, 1), (nw, 2, 2), (nw, 2, 1), (nw + 1, 2, 1)
     return {
-        "d": (d, (one, rot), nd),
+        "d": (d, (one, t1, t2), nd),
         "rot": (d, (rot,), nd),
-        "w_t1": (d, (one, (nw, 2, 1)), nd),
-        "w_t2": (d, (one, (nw + 1, 2, 1)), nd),
+        "w_t1": (d, (one, t1), nd),
+        "w_t2": (d, (one, t2), nd),
         "s1": (s1, (one,), spaces.s1.ndof),
         "s2": (s2, (one,), spaces.s2.ndof),
     }
@@ -629,6 +630,10 @@ class _Band:
     (du, dv).  The band has a row per row id from the side's first id on and
     `width` slots, one per (column group, du, dv, component); a contribution
     adds to row * width + slot[q, s], a static table of element-local pairs.
+    The slots are laid out in column order, so every row reads out sorted:
+    within one stride a column grows with the slot's constant part, and the
+    groups of stride 1 (w) hold smaller ids than those of stride 2 (the
+    rotations, interleaved even where theta_1 and theta_2 are apart).
     np.add.at adds in element order, so the sums do not depend on CHUNK; sums
     that are exactly zero (they cancel on affine patches) are not stored.
     """
@@ -649,7 +654,11 @@ class _Band:
             const.append((base + step * moved[:, None] + np.arange(n)).ravel())
             start.append(start[-1] + wu * wv * n)
         self.width = start[-1]
-        self.col_stride, self.col_const = np.concatenate(stride), np.concatenate(const)
+        stride, const = np.concatenate(stride), np.concatenate(const)
+        order = np.lexsort((const, stride))  # column order of the slots (see above)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(self.width)
+        self.col_stride, self.col_const = stride[order], const[order]
         # the place of every band row's point in the column grid
         self.first, self.shape = min(g[0] for g in self.row_groups), (n_rows, n_cols)
         point = np.arange(r_shape[0] * r_shape[1])
@@ -666,7 +675,7 @@ class _Band:
         for j, (_, _, nc) in enumerate(c_groups):
             slot = (start[j] + pair[:, :, None] * nc + np.arange(nc)).reshape(lu * lv, -1)
             for i, (_, _, nr) in enumerate(self.row_groups):
-                self.slots[i, j] = np.repeat(slot, nr, axis=0)
+                self.slots[i, j] = rank[np.repeat(slot, nr, axis=0)]
         self.values = np.zeros((n_rows - self.first) * self.width)
 
     def add(self, points: np.ndarray, pieces) -> None:
@@ -850,10 +859,11 @@ def assemble_primal_patches(
         bend_band = _Band(side["rot"], side["rot"]) if bending else None
         for eu, ev in disc.chunks():
             k = _primal_blocks(disc, mat, eu, ev, bending)
-            gi, ks = k["gi"], k["shear"]
-            w, t = slice(None, gi.shape[1]), slice(gi.shape[1], None)
-            parts = ((0, w), (1, t))
-            shear_band.add(gi, [(i, j, ks[:, a, b]) for i, a in parts for j, b in parts])
+            gi, ks, n = k["gi"], k["shear"], k["gi"].shape[1]
+            parts = ((0, slice(None, n)), (1, slice(n, None, 2)), (2, slice(n + 1, None, 2)))  # w, theta_1, theta_2
+            # the theta_1-theta_2 pieces are exact zeros: no quadrature row of the penalty holds both
+            pieces = [(i, j, ks[:, a, b]) for i, a in parts for j, b in parts if i == j or 0 in (i, j)]
+            shear_band.add(gi, pieces)
             if bending:
                 bend_band.add(gi, [(0, 0, k["tt"])])
             _add_loads(f, loads, d_map[gi], k["xy"], k["rw"])

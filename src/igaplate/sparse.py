@@ -166,6 +166,37 @@ class BandLU:
         return sp.dia_matrix((self._lu[: width + 1], np.arange(width, -1, -1)), shape=self.shape).tocsc()
 
 
+class BandCholesky:
+    """LAPACK pbtrf factor B = L L^T of a symmetric B = M[perm][:, perm], held as one band.
+
+    perm, inv and kd (kl = ku of a symmetric M) are those of rcm_band.  M's
+    lower triangle is scattered from its CSC arrays straight into the
+    Fortran-ordered (kd + 1, n) band that pbtrf overwrites with L: B's entry
+    (i, j), i >= j, in row i - j of column j.  The upper triangle is not
+    read.  Offers shape, nnz (the entries the band stores) and solve(b),
+    which applies perm on both sides so that it solves with M.  Raises
+    SingularMatrix when a pivot is not positive.
+    """
+
+    def __init__(self, m: sp.csc_matrix, perm: np.ndarray, inv: np.ndarray, kd: int):
+        n = m.shape[0]
+        self.shape, self._perm, self._inv = m.shape, perm, inv
+        band = np.zeros((kd + 1, n), order="F")
+        rows, cols = inv[m.indices].astype(np.intp), np.repeat(inv.astype(np.intp), np.diff(m.indptr))
+        lower = rows >= cols
+        # flat Fortran index of B's (i, j): i - j + j * (kd + 1)
+        np.add.at(band.ravel(order="F"), (rows + kd * cols)[lower], m.data[lower])  # duplicates add up, as in M
+        factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=True)
+        if info > 0:
+            raise SingularMatrix(f"pivot {info - 1} of the band is not positive")
+        self._factor = factor
+        self.nnz = factor.size
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, _ = lapack.dpbtrs(self._factor, b[self._perm], lower=1, overwrite_b=True)
+        return x[self._inv]
+
+
 class DirectSolver:
     """Factorise once, solve many; every accepted solve meets a residual bound.
 
@@ -247,10 +278,13 @@ class DirectSolver:
 
 
 class KrylovSolver:
-    """GMRES on A preconditioned by the LU of a nearby matrix M.
+    """GMRES on A preconditioned by the factor of a nearby matrix M.
 
-    M is factorised by SuperLU in symmetric mode (minimum degree on M^T + M,
-    diagonal pivots), which suits a symmetric positive definite M.  If A is
+    An M that equals its transpose exactly and whose band in reverse
+    Cuthill-McKee order stores at most BAND_MAX_ENTRIES entries is
+    factorised by LAPACK pbtrf as a band Cholesky (BandCholesky), which
+    needs M positive definite.  Any other M is factorised by SuperLU in
+    symmetric mode (minimum degree on M^T + M, diagonal pivots).  If A is
     larger than M, A is a saddle matrix [[K, B], [B', C]] whose leading
     block has M's size, and M stands in for its Schur complement
     K - B C^-1 B': the preconditioner is the block upper triangle
@@ -281,23 +315,28 @@ class KrylovSolver:
             self.norm_a = _inf_norm(self.a)
         self.iterations = 0
         self._lu_c = None  # the shear block's factor, for a saddle matrix
+        m = sp.csc_matrix(m, dtype=float)
         n = m.shape[0]
         try:
-            self._lu = spla.splu(
-                sp.csc_matrix(m, dtype=float),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
+            self._lu = self._factor(m)
             if n < self.a.shape[0]:
                 self._coupling = self.a[:n, n:]
                 self._lu_c = spla.splu(sp.csc_matrix(self.a[n:, n:]))
-        except RuntimeError:
+        except (RuntimeError, SingularMatrix):
             self._lu = None
+
+    @staticmethod
+    def _factor(m: sp.csc_matrix):
+        """M's BandCholesky if M is exactly symmetric and its band fits in BAND_MAX_ENTRIES, else its SuperLU."""
+        if (m != m.T).nnz == 0:
+            perm, inv, kd, _ = rcm_band(m)
+            if (kd + 1) * m.shape[0] <= BAND_MAX_ENTRIES:
+                return BandCholesky(m, perm, inv, kd)
+        return spla.splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     @property
     def lu_fill(self) -> int:
-        """Entries the SuperLU factors store: M's, and C's for a saddle matrix."""
+        """Entries the factors store: M's (a band Cholesky's band or SuperLU's L and U), and C's for a saddle matrix."""
         return sum(int(lu.nnz) for lu in (self._lu, self._lu_c) if lu is not None)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each one rebuilds a library result by an independent, slower route: the
 assembled blocks from element triplets, the Petrov-Galerkin shear rows
 element by element, the closed-form rotations and the L2 norm of the
-reference deflection.
+reference deflection.  least_squares_rate, the convergence rate the
+acceptance criteria read, is here as well: no library code reads it.
 """
 
 from __future__ import annotations
@@ -128,3 +129,20 @@ def reference_l2_norm(problem, n: int = 64) -> float:
             val = problem.reference_w(xx.ravel(), yy.ravel()) ** 2
             total += float(val @ np.outer(ws, vs).ravel())
     return math.sqrt(total)
+
+
+def least_squares_rate(errors, last: int = 3) -> float:
+    """Least-squares error-decay slope over the final `last` of consecutive levels.
+
+    Fits log2 of the errors against 0, 1, 2, ..., one mesh halving per
+    step, so every error must be there: a None (a failed or skipped level)
+    raises ValueError rather than being dropped, which would fit the levels
+    around it as one halving apart.
+    """
+    if any(e is None for e in errors):
+        raise ValueError("a level has no error; the rate needs consecutive levels")
+    if len(errors) < 2:
+        raise ValueError("need at least two errors for a rate")
+    tail = np.log2(np.asarray(errors[-last:], dtype=float))
+    slope = np.polyfit(np.arange(len(tail), dtype=float), tail, 1)[0]
+    return float(-slope)

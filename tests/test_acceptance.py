@@ -15,7 +15,6 @@ from igaplate.bench import (
     BenchmarkProblem,
     geometry_catalog,
     l2_error,
-    least_squares_rate,
     run_single,
 )
 from igaplate.condense import (
@@ -34,7 +33,7 @@ from igaplate.duals import (
 )
 from igaplate.plate import PatchDiscretization, apply_clamped_bc, assemble, build_field_spaces
 from igaplate.sparse import DirectSolver, solve_direct
-from oracles import pg_shear_rows_elementwise
+from oracles import least_squares_rate, pg_shear_rows_elementwise
 from igaplate.splines import eval_basis_1d, insert_knots, validate_knot_vector
 
 _cells: dict = {}

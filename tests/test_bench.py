@@ -18,7 +18,6 @@ from igaplate.bench import (
     exact_displacement,
     geometry_catalog,
     l2_error,
-    least_squares_rate,
     load_function,
     load_geometry,
     read_geometry_file,
@@ -29,7 +28,7 @@ from igaplate.bench import (
 )
 from igaplate.condense import SolveConfig, solve_variant
 from igaplate.plate import material
-from oracles import exact_rotation, reference_l2_norm
+from oracles import exact_rotation, least_squares_rate, reference_l2_norm
 
 
 # load and closed-form solution ------------------------------------------------
@@ -535,6 +534,14 @@ def test_study_levels_must_be_non_negative_and_strictly_increasing(levels):
 def test_least_squares_rate():
     errs = [1.0, 0.25, 0.0625, 0.015625]
     assert abs(least_squares_rate(errs, last=3) - 2.0) < 1e-12
+
+
+def test_least_squares_rate_raises_on_a_missing_level():
+    # dropping the None would fit 1.0 and 0.0625 as one halving apart: a rate of 4, not 2
+    with pytest.raises(ValueError, match="no error"):
+        least_squares_rate([1.0, None, 0.0625], last=3)
+    with pytest.raises(ValueError, match="no error"):
+        least_squares_rate([None, 1.0, 0.25, 0.0625], last=3)
 
 
 def test_load_geometry_dispatch(tmp_path):

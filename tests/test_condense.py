@@ -331,11 +331,16 @@ def test_condition_estimate_reuses_the_factorisation(factorisations, variant):
 
 @pytest.mark.parametrize(
     ("geometry", "variant", "p", "level", "factor"),
-    [("undistorted", "ead", 2, 1, "getrf"), ("undistorted", "mxd", 2, 4, "gbtrf"), ("c0_single", "mxd", 3, 3, "splu")],
+    [
+        ("undistorted", "ead", 2, 1, "getrf"),
+        ("undistorted", "mxd", 2, 4, "gbtrf"),
+        ("c0_single", "mxd", 3, 3, "pbtrf+splu"),
+    ],
 )
 def test_lu_fill_counts_the_entries_the_factors_store(monkeypatch, geometry, variant, p, level, factor):
-    # getrf stores n^2 entries, gbtrf its (2 kl + ku + 1, n) band, SuperLU its nnz;
-    # the c0_single cell takes GMRES: its primal and shear-block LUs count
+    # getrf stores n^2 entries, gbtrf its (2 kl + ku + 1, n) band, pbtrf its
+    # (kd + 1, n) band, SuperLU its nnz; the c0_single cell takes GMRES: the
+    # primal matrix's band Cholesky and the shear block's SuperLU LU count
     import scipy.linalg.lapack as lapack
     import scipy.sparse.linalg as spla
 
@@ -357,17 +362,18 @@ def test_lu_fill_counts_the_entries_the_factors_store(monkeypatch, geometry, var
     monkeypatch.setattr(spla, "splu", recording("splu", spla.splu, lambda lu: lu.nnz))
     monkeypatch.setattr(lapack, "dgetrf", recording("getrf", lapack.dgetrf, lambda out: out[0].size))
     monkeypatch.setattr(lapack, "dgbtrf", recording("gbtrf", lapack.dgbtrf, lambda out: out[0].size))
+    monkeypatch.setattr(lapack, "dpbtrf", recording("pbtrf", lapack.dpbtrf, lambda out: out[0].size))
     for cls in (DenseLU, BandLU):
         monkeypatch.setattr(cls, "L", property(unread))
         monkeypatch.setattr(cls, "U", property(unread))
     cfg = SolveConfig(variant=variant, degree=p, level=level, thickness=1.0)
     sol = solve_variant(geometry_catalog(geometry), cfg, load=lambda x, y: np.ones_like(x))
     d = sol.diagnostics
-    assert {name for name, _ in stored} == {factor}
+    assert [name for name, _ in stored] == factor.split("+")
     assert d["lu_fill"] == sum(size for _, size in stored) > 0
     if factor == "getrf":
         assert d["lu_fill"] == d["n_dof_solved"] ** 2
-    elif factor == "splu":
+    elif factor == "pbtrf+splu":
         assert d["solver"] == "gmres" and len(stored) == 2
 
 
@@ -614,22 +620,22 @@ def _condensed(pa, cfg, load):
 
 
 def test_large_condensed_system_is_solved_by_gmres_on_the_primal_factor(monkeypatch):
-    import scipy.sparse.linalg as spla
+    import igaplate.sparse as sparse
 
     pa = geometry_catalog("c0_single")
     load = lambda x, y: np.ones_like(x)  # noqa: E731
     factored = []
-    splu = spla.splu
+    band_cholesky = sparse.BandCholesky
 
-    def recording_splu(a, *args, **kwargs):
-        factored.append(a)
-        return splu(a, *args, **kwargs)
+    def recording_band_cholesky(m, *args):
+        factored.append(m)
+        return band_cholesky(m, *args)
 
     # t=1e-2 at L3 is the thinnest measured cell below the slenderness gate (137)
     for level, t in ((4, 1.0), (3, 1e-2)):
         cfg = SolveConfig(variant="ead", degree=3, level=level, thickness=t)
         factored.clear()
-        monkeypatch.setattr(spla, "splu", recording_splu)
+        monkeypatch.setattr(sparse, "BandCholesky", recording_band_cholesky)
         sol = solve_variant(pa, cfg, load=load)
         monkeypatch.undo()
 

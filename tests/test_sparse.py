@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_factor, cho_solve
 
 import igaplate.sparse as sparse
+from igaplate.bench import geometry_catalog
+from igaplate.condense import SolveConfig, build_parts
 from igaplate.sparse import (
     BAND_MAX_ENTRIES,
     DENSE_SHARE,
+    BandCholesky,
     BandLU,
     DenseLU,
     DirectSolver,
@@ -278,6 +282,74 @@ def test_block_triangular_preconditioner_with_the_exact_schur_complement():
     # K alone in the Schur complement's place is a nearby, not an exact, preconditioner
     nearby = KrylovSolver(saddle, k)
     assert nearby.solve(rhs) is not None and nearby.iterations > 2
+
+
+def _primal(geometry: str, level: int) -> sp.csc_matrix:
+    """The primal matrix (P + P^T) / 2 of an ead p3 cell at t = 1, as KrylovSolver receives it."""
+    cfg = SolveConfig(variant="ead", degree=3, level=level, thickness=1.0)
+    return build_parts(geometry_catalog(geometry), cfg).primal(cfg.make_material())
+
+
+@pytest.mark.parametrize(("geometry", "level"), [("c0_single", 2), ("mp_various", 1)])
+def test_a_band_cholesky_of_a_primal_matrix_solves_like_a_dense_cholesky(geometry, level):
+    m = _primal(geometry, level)
+    n = m.shape[0]
+    assert (m != m.T).nnz == 0
+    perm, inv, kl, ku = rcm_band(m)
+    assert kl == ku
+    factor = BandCholesky(m, perm, inv, kl)
+    assert factor.shape == m.shape and factor.nnz == (kl + 1) * n
+    dense = cho_factor(m.toarray())
+    rhs = np.random.default_rng(12).standard_normal((n, 2))
+    for b in (rhs[:, 0], rhs):
+        x, ref = factor.solve(b), cho_solve(dense, b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_a_symmetric_indefinite_preconditioner_gives_no_krylov_answer(factorisations):
+    n = 40
+    diagonal = 2.5 * np.ones(n)
+    diagonal[n // 2] = -3.0
+    m = sp.diags([-np.ones(n - 1), diagonal, -np.ones(n - 1)], [-1, 0, 1], format="csc")
+    perm, inv, kd, _ = rcm_band(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix, match="not positive"):
+            BandCholesky(m, perm, inv, kd)
+        krylov = KrylovSolver(m, m)
+    assert factorisations == ["pbtrf", "pbtrf"]
+    assert krylov.solve(np.ones(n)) is None and krylov.lu_fill == 0
+
+
+def test_a_primal_matrix_whose_band_exceeds_the_cap_goes_to_superlu(factorisations, monkeypatch):
+    m = _primal("c0_single", 2)
+    n = m.shape[0]
+    _, _, kd, _ = rcm_band(m)
+    b = np.random.default_rng(13).standard_normal(n)
+    factorisations.clear()
+    monkeypatch.setattr(sparse, "BAND_MAX_ENTRIES", (kd + 1) * n)
+    band = KrylovSolver(m, m)
+    assert factorisations == ["pbtrf"] and isinstance(band._lu, BandCholesky) and band.lu_fill == (kd + 1) * n
+    x = band.solve(b)
+    monkeypatch.setattr(sparse, "BAND_MAX_ENTRIES", (kd + 1) * n - 1)
+    superlu = KrylovSolver(m, m)
+    assert factorisations == ["pbtrf", "splu"] and superlu.lu_fill == superlu._lu.nnz
+    y = superlu.solve(b)
+    assert x is not None and y is not None
+    assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_a_preconditioner_symmetric_only_to_round_off_goes_to_superlu(factorisations):
+    n = 50
+    m = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
+    KrylovSolver(m, m)
+    assert factorisations == ["pbtrf"]
+    off = m.tolil()
+    off[3, 4] = np.nextafter(-1.0, 0.0)  # one ulp from m[4, 3]
+    krylov = KrylovSolver(m, off.tocsc())
+    assert factorisations == ["pbtrf", "splu"]
+    assert krylov.solve(np.ones(n)) is not None
 
 
 def test_solvers_take_the_inf_norm_without_reordering_the_callers_matrix():

@@ -449,10 +449,16 @@ class StudyConfig:
     record_timings: bool = True
 
     def __post_init__(self):
-        if len(self.levels) < 2:
-            raise ValueError("need at least two levels to observe a rate")
-        if self.levels[0] < 0 or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-            raise ValueError(f"levels must be non-negative and strictly increasing, got {self.levels}")
+        check_levels(self.levels)
+
+
+def check_levels(levels: tuple) -> tuple:
+    """levels, if a study can take them: at least two, non-negative and strictly increasing; else ValueError."""
+    if len(levels) < 2:
+        raise ValueError("need at least two levels to observe a rate")
+    if levels[0] < 0 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be non-negative and strictly increasing, got {levels}")
+    return levels
 
 
 @dataclass

@@ -66,14 +66,14 @@ def _as_bool(text: str) -> bool:
 
 
 # config key -> (StudyConfig field, cast); a field may be given once, under
-# one of its keys
+# one of its keys, and a cast raises ValueError on a value it cannot take
 _CONFIG_KEYS = {
     "geometry": ("geometry", str),
     "variants": ("variants", _as_list(str)),
     "variant": ("variants", _as_list(str)),
     "degrees": ("degrees", _as_list(int)),
     "degree": ("degrees", _as_list(int)),
-    "levels": ("levels", _as_list(int)),
+    "levels": ("levels", lambda text: bench.check_levels(_as_list(int)(text))),
     "thicknesses": ("thicknesses", _as_list(float)),
     "thickness": ("thicknesses", _as_list(float)),
     "continuity_reduction": ("continuity_reduction", _as_bool),

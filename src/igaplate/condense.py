@@ -28,7 +28,7 @@ from .duals import (
     dual_transform_1d,
     dual_transform_2d,
 )
-from .multipatch import PatchAssembly, assemble_multipatch, assemble_primal_multipatch, build_dof_map
+from .multipatch import PatchAssembly, assemble_multipatch, assemble_primal_multipatch, build_dof_map, grid_sweeps
 from .plate import (
     MixedSystem,
     PatchDiscretization,
@@ -116,6 +116,11 @@ class ProblemContext:
     spaces: list
     discs: list
     config: SolveConfig  # only its thickness-free fields are read
+
+    @cached_property
+    def sweeps(self) -> list:
+        """Per sweep of the refined control-point grids, every point's place in it (see grid_sweeps)."""
+        return grid_sweeps(self.refined)
 
     @cached_property
     def error_quadrature(self) -> list:
@@ -462,6 +467,30 @@ class ThicknessFreeParts:
         p = self.fixed[:n, :n] + _ratio(mat) * self.penalty
         return (0.5 * (p + p.T)).tocsc()
 
+    def orders(self, primal: bool = False) -> list:
+        """Candidate band orders of the level's systems, or with primal of its primal matrix, one per grid sweep.
+
+        Every unknown belongs to a control point: a free d DOF to its point
+        (through d_ids), an mxd S1 DOF (i, j) of a patch to point (i, j) of
+        that patch's displacement grid without its last row, and an S2 DOF to
+        point (i, j) of the grid without its last column.  An order sorts
+        the unknowns by their point's place in a sweep (ProblemContext.sweeps),
+        then by kind: w, theta_1, theta_2, S1, S2.  The primal matrix has
+        the free d DOFs alone; so has every system but mxd's.
+        """
+        ctx, n = self.ctx, self.ctx.refined.n_points
+        points = np.arange(n)[:, None]
+        ids = d_ids(points, n)  # (n, 3): w, theta_1, theta_2 of every point
+        point_of, kind_of = np.empty(3 * n, dtype=np.int64), np.empty(3 * n, dtype=np.int64)
+        point_of[ids], kind_of[ids] = points, np.arange(3)
+        point, kind = point_of[self.free], kind_of[self.free]
+        if ctx.config.variant == "mxd" and not primal:
+            grids = [pm.reshape(s.disp.shape) for pm, s in zip(ctx.refined.point_maps, ctx.spaces)]
+            shear = [g[:-1].ravel() for g in grids] + [g[:, :-1].ravel() for g in grids]  # S1, then S2 of every patch
+            point = np.concatenate([point, *shear])
+            kind = np.concatenate([kind, *(np.full(s.size, 3 + (i >= len(grids))) for i, s in enumerate(shear))])
+        return [np.lexsort((kind, rank[point])) for rank in ctx.sweeps]
+
     def matrix_at(self, mat) -> sp.csr_matrix:
         """Matrix of mat's system divided by D, formed."""
         if self.scaled is None:  # lmp/ad/ead: form the shear part once, on first use
@@ -544,6 +573,9 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
     formed only for a direct factorisation.  If the
     Krylov answer misses the Krylov gates, the matrix is formed and
     factorised directly as for every other system (see DirectSolver).
+    Both solvers are given the level's candidate orders, one per sweep of
+    the control-point grids (ThicknessFreeParts.orders), made only when a
+    band factor is tried; a band is put in the narrowest of them.
 
     The result list is released from the frame on return, and the list of
     load exceptions emptied: a stored exception's traceback keeps this
@@ -606,7 +638,7 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                 t1 = time.perf_counter()
                 x, iterations = None, None
                 if primal is not None:
-                    solver = KrylovSolver(matrix, primal)
+                    solver = KrylovSolver(matrix, primal, lambda: parts.orders(primal=True))
                     del primal
                     t2 = time.perf_counter()
                     x = solver.solve(rhs)
@@ -615,7 +647,7 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                     solver = None  # a rejected Krylov answer: free the primal factor first
                     if not sp.issparse(matrix):
                         matrix = matrix.formed()
-                    solver = DirectSolver(matrix)
+                    solver = DirectSolver(matrix, parts.orders)
                     t2 = time.perf_counter()
                     x = solver.solve(rhs)
                 t3 = time.perf_counter()

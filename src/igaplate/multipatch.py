@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .plate import (
     EDGES,
@@ -153,9 +153,7 @@ def build_dof_map(patches, interfaces=None, tol: float = 1e-12) -> PatchAssembly
         global_ids[offsets[p] : offsets[p] + sizes[p]].copy() for p in range(len(patches))
     ]
 
-    matched = {(i.patch_a, i.edge_a) for i in interfaces} | {
-        (i.patch_b, i.edge_b) for i in interfaces
-    }
+    matched = _interface_edges(interfaces)
     boundary = set()
     for p, patch in enumerate(patches):
         shape = patch.net.shape
@@ -171,6 +169,60 @@ def build_dof_map(patches, interfaces=None, tol: float = 1e-12) -> PatchAssembly
         n_points=int(n_points),
         boundary_points=np.array(sorted(boundary), dtype=int),
     )
+
+
+def _interface_edges(interfaces) -> set:
+    """(patch, edge) of both sides of every interface."""
+    return {(i.patch_a, i.edge_a) for i in interfaces} | {(i.patch_b, i.edge_b) for i in interfaces}
+
+
+def grid_sweeps(pa: PatchAssembly) -> list:
+    """Per sweep, every point's place in a breadth-first walk of the control-point grids.
+
+    One sweep starts from edge u0 of the patches, one from edge v0.  Two
+    points are neighbours when they are 4-neighbours in some patch's grid;
+    interface points are shared through point_maps.  A walk starts from that
+    edge of every patch where it is not an interface edge, in patch order and
+    along the edge, and then takes each level's unvisited neighbours in the
+    order of the points that reach them.  On one patch the u0 sweep is the
+    point order iu n_v + iv itself.  The whole non-interface edges start the
+    walk, not the outer points on them: those would add the end points of an
+    interface edge, from which the walk runs diagonally through the next
+    patch (kl of the mxd p2 L3 band of mp_linear's u0 sweep, 105, would
+    become 411).  A sweep
+    whose every edge is an interface edge is left out; points no walk
+    reaches come last, in id order.
+    """
+    n = pa.n_points
+    pairs = []
+    for patch, ids in zip(pa.patches, pa.point_maps):
+        grid = ids.reshape(patch.net.shape)
+        pairs += [(grid[:-1].ravel(), grid[1:].ravel()), (grid[:, :-1].ravel(), grid[:, 1:].ravel())]
+    a, b = (np.concatenate(side) for side in zip(*pairs))
+    graph = sp.csr_matrix((np.ones(2 * len(a)), (np.r_[a, b], np.r_[b, a])), shape=(n, n))
+    graph.sort_indices()  # each point's neighbours in id order
+    matched = _interface_edges(pa.interfaces)
+    sweeps = []
+    for edge in ("u0", "v0"):
+        starts = [
+            ids[edge_point_ids(patch.net.shape, edge)]
+            for p, (patch, ids) in enumerate(zip(pa.patches, pa.point_maps))
+            if (p, edge) not in matched
+        ]
+        if not starts:
+            continue
+        starts = np.concatenate(starts)
+        # a root n whose neighbours are the start points in walk order:
+        # breadth_first_order takes a point's neighbours in the order stored
+        indices, indptr = np.r_[graph.indices, starts], np.r_[graph.indptr, graph.nnz + len(starts)]
+        walk_graph = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+        walk = breadth_first_order(walk_graph, n, directed=True, return_predecessors=False)[1:]
+        seen = np.zeros(n, dtype=bool)
+        seen[walk] = True
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.r_[walk, np.flatnonzero(~seen)]] = np.arange(n)
+        sweeps.append(rank)
+    return sweeps
 
 
 def d_index_map(pa: PatchAssembly, patch_idx: int) -> np.ndarray:

@@ -93,16 +93,14 @@ class DenseLU:
         return sp.csc_matrix(np.triu(self._lu))
 
 
-def rcm_band(a: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Reverse Cuthill-McKee order of A's symmetrised pattern, its inverse, and kl, ku of A in that order.
+def _ordered_band(a: sp.csc_matrix, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """perm, its inverse, and kl, ku of A in the order perm.
 
     perm orders rows and columns alike: B = A[perm][:, perm], and
     inv[perm] = 0..n-1.  kl and ku are B's numbers of sub- and
     superdiagonals, taken apart because A's pattern need not be symmetric,
     and read per column of A with no permuted copy made.
     """
-    pattern = sp.csc_matrix((np.ones(a.nnz, dtype=np.int8), a.indices, a.indptr), shape=a.shape)
-    perm = csgraph.reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)  # symmetric: CSC reads as CSR
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm), dtype=perm.dtype)
     lo, hi = _index_range(a, inv, inv)  # per column of A, its least and largest row of B
@@ -110,10 +108,37 @@ def rcm_band(a: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray, int, int]:
     return perm, inv, int(np.max(hi[cols] - inv[cols], initial=0)), int(np.max(inv[cols] - lo[cols], initial=0))
 
 
+def rcm_band(a: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Reverse Cuthill-McKee order of A's symmetrised pattern, its inverse, and kl, ku of A in that order.
+
+    See _ordered_band for the three.
+    """
+    pattern = sp.csc_matrix((np.ones(a.nnz, dtype=np.int8), a.indices, a.indptr), shape=a.shape)
+    # symmetric: CSC reads as CSR
+    return _ordered_band(a, csgraph.reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True))
+
+
+def band_order(a: sp.csc_matrix, orders=()) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The order of the candidates whose band stores the fewest rows, 2 kl + ku, with its inverse, kl and ku.
+
+    orders is a sequence of candidate orders, or a function of no arguments
+    that returns one, called here, so only when a band is tried.  Ties go
+    to the earlier candidate.  With no candidates it is rcm_band(a), which
+    sees the matrix alone; a caller that knows the grid of its unknowns
+    passes orders that sweep it (ThicknessFreeParts.orders), whose bands
+    are narrower.
+    """
+    if callable(orders):
+        orders = orders()
+    if not len(orders):
+        return rcm_band(a)
+    return min((_ordered_band(a, perm) for perm in orders), key=lambda band: 2 * band[2] + band[3])
+
+
 class BandLU:
     """LAPACK gbtrf factor P B = L U of B = A[perm][:, perm], held as one band.
 
-    perm, inv, kl and ku are those of rcm_band.  A is scattered from its CSC
+    perm, inv, kl and ku are those of band_order.  A is scattered from its CSC
     arrays straight into the Fortran-ordered (2 kl + ku + 1, n) band that
     gbtrf overwrites with the factor: B's entry (i, j) in row kl + ku + i - j
     of column j, the first kl rows left for the fill of pivoting.  No
@@ -169,7 +194,7 @@ class BandLU:
 class BandCholesky:
     """LAPACK pbtrf factor B = L L^T of a symmetric B = M[perm][:, perm], held as one band.
 
-    perm, inv and kd (kl = ku of a symmetric M) are those of rcm_band.  M's
+    perm, inv and kd (kl = ku of a symmetric M) are those of band_order.  M's
     lower triangle is scattered from its CSC arrays straight into the
     Fortran-ordered (kd + 1, n) band that pbtrf overwrites with L: B's entry
     (i, j), i >= j, in row i - j of column j.  The upper triangle is not
@@ -201,16 +226,17 @@ class DirectSolver:
     """Factorise once, solve many; every accepted solve meets a residual bound.
 
     Handles nonsymmetric matrices.  The factor is chosen from the matrix
-    alone, and no choice lets LAPACK store more than the larger of
-    nnz / DENSE_SHARE and BAND_MAX_ENTRIES entries:
+    and the candidate orders, and no choice lets LAPACK store more than the
+    larger of nnz / DENSE_SHARE and BAND_MAX_ENTRIES entries:
 
     - a matrix that stores at least DENSE_SHARE of its n^2 entries is
       factorised dense by LAPACK getrf (DenseLU), in its own order, so its
       dense array takes at most 1/DENSE_SHARE times the stored entries;
-    - any other matrix is ordered by reverse Cuthill-McKee and factorised
-      as a band by LAPACK gbtrf (BandLU), or by getrf if its band would
-      need at least n rows, as long as that factor stores at most
-      BAND_MAX_ENTRIES entries;
+    - any other matrix is put in the candidate order with the narrowest
+      band, or in reverse Cuthill-McKee order without candidates (see
+      band_order), and factorised as a band by LAPACK gbtrf (BandLU), or by
+      getrf if its band would need at least n rows, as long as that factor
+      stores at most BAND_MAX_ENTRIES entries;
     - a larger one is factorised by SuperLU in COLAMD order: a band in two
       dimensions stores O(n^1.5) entries, 2.2-3.1x SuperLU's fill on the
       large cells.
@@ -221,7 +247,7 @@ class DirectSolver:
     it if factorisation fails.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, orders=()):
         a = sp.csc_matrix(a, dtype=float)
         n = a.shape[0]
         if n != a.shape[1]:
@@ -233,7 +259,7 @@ class DirectSolver:
             return
         # every column must fit in the band's kl + ku + 1 rows, so n times the longest bounds its storage below
         if n * np.diff(a.indptr).max(initial=0) <= BAND_MAX_ENTRIES:
-            perm, inv, kl, ku = rcm_band(a)
+            perm, inv, kl, ku = band_order(a, orders)
             rows = 2 * kl + ku + 1
             if min(rows, n) * n <= BAND_MAX_ENTRIES:
                 self._lu = DenseLU(a) if rows >= n else BandLU(a, perm, inv, kl, ku)
@@ -280,11 +306,12 @@ class DirectSolver:
 class KrylovSolver:
     """GMRES on A preconditioned by the factor of a nearby matrix M.
 
-    An M that equals its transpose exactly and whose band in reverse
-    Cuthill-McKee order stores at most BAND_MAX_ENTRIES entries is
-    factorised by LAPACK pbtrf as a band Cholesky (BandCholesky), which
-    needs M positive definite.  Any other M is factorised by SuperLU in
-    symmetric mode (minimum degree on M^T + M, diagonal pivots).  If A is
+    An M that equals its transpose exactly and whose band, in the candidate
+    order where it is narrowest (reverse Cuthill-McKee without candidates,
+    see band_order), stores at most BAND_MAX_ENTRIES entries is factorised
+    by LAPACK pbtrf as a band Cholesky (BandCholesky), which needs M
+    positive definite.  Any other M is factorised by SuperLU in symmetric
+    mode (minimum degree on M^T + M, diagonal pivots).  If A is
     larger than M, A is a saddle matrix [[K, B], [B', C]] whose leading
     block has M's size, and M stands in for its Schur complement
     K - B C^-1 B': the preconditioner is the block upper triangle
@@ -307,7 +334,7 @@ class KrylovSolver:
     lmp p=3 L3 t=1e-2).
     """
 
-    def __init__(self, a, m):
+    def __init__(self, a, m, orders=()):
         if isinstance(a, spla.LinearOperator):
             self.a, self.norm_a = a, _inf_norm_estimate(a)
         else:
@@ -318,7 +345,7 @@ class KrylovSolver:
         m = sp.csc_matrix(m, dtype=float)
         n = m.shape[0]
         try:
-            self._lu = self._factor(m)
+            self._lu = self._factor(m, orders)
             if n < self.a.shape[0]:
                 self._coupling = self.a[:n, n:]
                 self._lu_c = spla.splu(sp.csc_matrix(self.a[n:, n:]))
@@ -326,10 +353,10 @@ class KrylovSolver:
             self._lu = None
 
     @staticmethod
-    def _factor(m: sp.csc_matrix):
+    def _factor(m: sp.csc_matrix, orders):
         """M's BandCholesky if M is exactly symmetric and its band fits in BAND_MAX_ENTRIES, else its SuperLU."""
         if (m != m.T).nnz == 0:
-            perm, inv, kd, _ = rcm_band(m)
+            perm, inv, kd, _ = band_order(m, orders)
             if (kd + 1) * m.shape[0] <= BAND_MAX_ENTRIES:
                 return BandCholesky(m, perm, inv, kd)
         return spla.splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})

@@ -692,11 +692,22 @@ def test_config_file_keys_aliases_and_errors(tmp_path):
         ("continuity_reduction = yse\n", r"line 2: bad 'continuity_reduction': 'yse' is not one of"),
         ("record_timings = treu\n", r"line 2: bad 'record_timings': 'treu' is not one of"),
         ("levels = 1,x\n", r"line 2: bad 'levels': invalid literal for int\(\)"),
+        ("levels = 2,1\n", r"line 2: bad 'levels': levels must be non-negative and strictly increasing"),
+        ("out = a.csv\nlevels = 2\n", r"line 3: bad 'levels': need at least two levels"),
         ("levels = 1,2\nlevels = 1,3\n", r"line 3: 'levels' sets 'levels' again, set by 'levels' on line 2"),
         ("variant = mxd\nvariants = ead\n", r"line 3: 'variants' sets 'variants' again, set by 'variant' on line 2"),
         ("variants = ead\nvariant = mxd\n", r"line 3: 'variant' sets 'variants' again, set by 'variants' on line 2"),
     ],
-    ids=["boolean", "boolean-timings", "integer", "repeated-key", "alias-after-key", "key-after-alias"],
+    ids=[
+        "boolean",
+        "boolean-timings",
+        "integer",
+        "decreasing-levels",
+        "one-level",
+        "repeated-key",
+        "alias-after-key",
+        "key-after-alias",
+    ],
 )
 def test_config_file_errors_name_their_line(tmp_path, text, message):
     from igaplate.cli import _parse_config_file

@@ -21,7 +21,7 @@ from igaplate.condense import (
 from igaplate.duals import DualTransform2D, dual_transform_1d, dual_transform_2d
 from igaplate.multipatch import assemble_multipatch
 from igaplate.plate import PatchDiscretization, apply_clamped_bc, assemble
-from igaplate.sparse import solve_direct
+from igaplate.sparse import DirectSolver, solve_direct
 from oracles import pg_shear_rows_elementwise
 
 
@@ -381,7 +381,6 @@ def test_a_thin_mxd_answer_is_within_1e_10_of_its_long_double_refinement():
     # the factor's answer on this saddle is 1e-6 off (SuperLU's was 8e-7);
     # the one refinement step in DirectSolver.solve brings it to about 3e-12
     from igaplate.condense import build_parts
-    from igaplate.sparse import DirectSolver
 
     cfg = SolveConfig(variant="mxd", degree=3, level=2, thickness=1e-4)
     parts = build_parts(geometry_catalog("mp_various"), cfg, [BenchmarkProblem("mp_various", thickness=1e-4).load])
@@ -730,7 +729,8 @@ def test_rejected_krylov_answer_falls_back_to_the_direct_solve(monkeypatch):
         assert sol.diagnostics["solver"] == "lu"
         assert sol.diagnostics["iterations"] == 60
         ctx, _, cond = _condensed(pa, cfg, load)
-        d_lu = solve_direct(cond.k_cond, cond.f_d)
+        orders = cond.parts.orders()  # the solve's candidate orders of the grid sweeps
+        d_lu = DirectSolver(cond.k_cond, orders).solve(cond.f_d)
         direct = expand_displacement(sol.d_full.size, sol.free_d, d_lu)
         assert sol.d_full.tobytes() == direct.tobytes()
 
@@ -774,7 +774,8 @@ def test_thin_plate_above_the_slenderness_gate_never_builds_the_primal_matrix(mo
     assert sol.diagnostics["solver"] == "lu" and sol.diagnostics["iterations"] is None
     assert calls == []
     _, _, cond = _condensed(pa, cfg, load)
-    direct = expand_displacement(sol.d_full.size, sol.free_d, solve_direct(cond.k_cond, cond.f_d))
+    orders = cond.parts.orders()
+    direct = expand_displacement(sol.d_full.size, sol.free_d, DirectSolver(cond.k_cond, orders).solve(cond.f_d))
     assert sol.d_full.tobytes() == direct.tobytes()
 
 
@@ -793,7 +794,8 @@ def test_lmp_never_tries_gmres(monkeypatch):
     assert sol.diagnostics["solver"] == "lu" and sol.diagnostics["iterations"] is None
     assert calls == []
     _, _, cond = _condensed(pa, cfg, load)
-    direct = expand_displacement(sol.d_full.size, sol.free_d, solve_direct(cond.k_cond, cond.f_d))
+    orders = cond.parts.orders()
+    direct = expand_displacement(sol.d_full.size, sol.free_d, DirectSolver(cond.k_cond, orders).solve(cond.f_d))
     assert sol.d_full.tobytes() == direct.tobytes()
 
 
@@ -843,8 +845,9 @@ def test_mxd_above_its_slenderness_bound_never_builds_the_primal_matrix(monkeypa
     assert calls == []
     mat, parts = cfg.make_material(), build_parts(pa, cfg, [load])
     saddle, rhs = parts.matrix_at(mat), parts.rhs_at(mat, 0)
+    orders = parts.orders()  # the saddle's: free d DOFs, then S1 and S2 at their control points
     n = sol.diagnostics["n_dof_primal"]
-    direct = expand_displacement(sol.d_full.size, sol.free_d, solve_direct(saddle, rhs)[:n])
+    direct = expand_displacement(sol.d_full.size, sol.free_d, DirectSolver(saddle, orders).solve(rhs)[:n])
     assert sol.d_full.tobytes() == direct.tobytes()
 
 

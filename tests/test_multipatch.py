@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from igaplate.bench import BenchmarkProblem, geometry_catalog, l2_error
-from igaplate.condense import SolveConfig, solve_variant
+from igaplate.condense import SolveConfig, prepare_problem, solve_variant
 from igaplate.multipatch import (
     Interface,
     NonConformingInterface,
     PatchAssembly,
     build_dof_map,
     detect_interfaces,
+    grid_sweeps,
 )
 from igaplate.splines import ControlNet, SurfacePatch, eval_surface, validate_knot_vector
 
@@ -193,3 +194,31 @@ def test_error_invariant_under_patch_reordering():
     sol2 = solve_variant(swapped, cfg, load=prob.load)
     e1, e2 = l2_error(sol, prob), l2_error(sol2, prob)
     assert abs(e1 - e2) <= 1e-14
+
+
+def test_the_sweeps_of_one_patch_are_its_point_order_and_its_transpose():
+    cfg = SolveConfig(variant="mxd", degree=3, level=2, thickness=1.0)
+    ctx = prepare_problem(geometry_catalog("c0_single"), cfg)
+    n_u, n_v = ctx.refined.patches[0].net.shape
+    assert ctx.refined.n_points == n_u * n_v
+    u0, v0 = grid_sweeps(ctx.refined)
+    assert np.array_equal(u0, np.arange(n_u * n_v))  # iu n_v + iv
+    iu, iv = np.meshgrid(np.arange(n_u), np.arange(n_v), indexing="ij")
+    assert np.array_equal(v0, (iv * n_u + iu).ravel())
+
+
+def test_the_sweeps_of_two_patches_run_across_their_interface_row_by_row():
+    # mp_various joins patch 0's u1 edge to patch 1's u0 edge; at L3 each
+    # grid has 11 columns along u, 21 across both
+    cfg = SolveConfig(variant="mxd", degree=3, level=3, thickness=1.0)
+    pa = prepare_problem(geometry_catalog("mp_various"), cfg).refined
+    u0, v0 = grid_sweeps(pa)
+    (n_u, n_v), (m_u, m_v) = (p.net.shape for p in pa.patches)
+    assert n_v == m_v and n_u + m_u - 1 == 21
+    for p, ids in enumerate(pa.point_maps):
+        grid = ids.reshape(pa.patches[p].net.shape)
+        iu, iv = np.meshgrid(np.arange(grid.shape[0]), np.arange(n_v), indexing="ij")
+        column = iu + p * (n_u - 1)  # across both patches, the interface column shared
+        assert np.array_equal(v0[grid], iv * 21 + column)
+        # only patch 0's u0 edge starts the u0 walk, not the ends of the interface
+        assert np.array_equal(u0[grid], column * n_v + iv)

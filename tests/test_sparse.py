@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
 import igaplate.sparse as sparse
-from igaplate.bench import geometry_catalog
+from igaplate.bench import GEOMETRY_NAMES, geometry_catalog
 from igaplate.condense import SolveConfig, build_parts
 from igaplate.sparse import (
     BAND_MAX_ENTRIES,
@@ -22,6 +22,7 @@ from igaplate.sparse import (
     KrylovSolver,
     SingularMatrix,
     _inf_norm,
+    band_order,
     nnz_and_bandwidth,
     rcm_band,
     solve_direct,
@@ -305,6 +306,60 @@ def test_a_band_cholesky_of_a_primal_matrix_solves_like_a_dense_cholesky(geometr
         x, ref = factor.solve(b), cho_solve(dense, b)
         assert x.shape == b.shape
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _grid_laplacian(nu: int, nv: int) -> sp.csc_matrix:
+    """The 5-point Laplacian of an nu x nv grid, point (iu, iv) at iu nv + iv."""
+    lap = lambda k: sp.diags([-np.ones(k - 1), 2.0 * np.ones(k), -np.ones(k - 1)], [-1, 0, 1])  # noqa: E731
+    return sp.kronsum(lap(nv), lap(nu), format="csc")
+
+
+def test_band_order_keeps_the_narrowest_candidate_and_reads_rcm_without_one(factorisations):
+    nu, nv = 12, 30
+    a = _grid_laplacian(nu, nv)
+    rows = np.arange(nu * nv)  # along v, band nv
+    cols = rows.reshape(nu, nv).T.ravel()  # along u, band nu
+    for orders in ([rows, cols], [cols, rows]):
+        perm, inv, kl, ku = band_order(a, orders)
+        assert perm is cols and kl == ku == nu and np.array_equal(inv[perm], rows)
+    assert band_order(a, [rows, rows[::-1]])[0] is rows  # a tie goes to the first
+    assert all(np.array_equal(x, y) for x, y in zip(band_order(a), rcm_band(a)))
+    m = (a + sp.identity(nu * nv)).tocsc()  # symmetric positive definite
+    factorisations.clear()
+    assert DirectSolver(a, [rows, cols]).lu_fill == (3 * nu + 1) * nu * nv
+    assert KrylovSolver(m, m, [rows, cols]).lu_fill == (nu + 1) * nu * nv
+    assert factorisations == ["gbtrf", "pbtrf"]
+
+
+def test_solve_direct_keeps_the_rcm_band_of_the_matrix_alone(factorisations):
+    cfg = SolveConfig(variant="std", degree=2, level=4, thickness=1.0)
+    parts = build_parts(geometry_catalog("undistorted"), cfg)
+    a, b = sp.csc_matrix(parts.matrix_at(cfg.make_material())), np.ones(len(parts.free))
+    orders = parts.orders()
+    perm, inv, kl, ku = rcm_band(a)
+    _, _, sweep_kl, sweep_ku = band_order(a, orders)
+    assert 2 * sweep_kl + sweep_ku < 2 * kl + ku
+    x = solve_direct(a, b)
+    lu = BandLU(a, perm, inv, kl, ku)
+    y = lu.solve(b)
+    y += lu.solve(b - a @ y)
+    assert factorisations == ["gbtrf", "gbtrf"] and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("geometry", GEOMETRY_NAMES)
+@pytest.mark.parametrize(("variant", "degree"), [("mxd", 2), ("std", 3)])
+def test_the_grid_sweep_band_is_no_wider_than_rcm_on_every_catalog_geometry(geometry, variant, degree):
+    # a walk started from the outer points of the edges, the end points of
+    # an interface included, widens mp_linear's u0 band from 105 to 411
+    cfg = SolveConfig(variant=variant, degree=degree, level=3, thickness=1.0)
+    parts = build_parts(geometry_catalog(geometry), cfg)
+    mat = cfg.make_material()
+    orders, primal_orders = parts.orders(), parts.orders(primal=True)
+    assert len(orders) == len(primal_orders) == 2
+    for m, candidates in ((sp.csc_matrix(parts.matrix_at(mat)), orders), (parts.primal(mat), primal_orders)):
+        _, _, kl, ku = band_order(m, candidates)
+        _, _, rcm_kl, rcm_ku = rcm_band(m)
+        assert 2 * kl + ku <= 2 * rcm_kl + rcm_ku
 
 
 def test_a_symmetric_indefinite_preconditioner_gives_no_krylov_answer(factorisations):

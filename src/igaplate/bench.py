@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .condense import SolveConfig, VariantSolution, solve_thicknesses, solve_variant
+from .condense import VARIANTS, SolveConfig, VariantSolution, solve_thicknesses, solve_variant
 from .multipatch import PatchAssembly, build_dof_map
-from .plate import material
+from .plate import check_shear_weighting, material
 from .splines import ControlNet, DecreasingKnots, SplineError, SurfacePatch, validate_knot_vector
 
 
@@ -450,6 +450,16 @@ class StudyConfig:
 
     def __post_init__(self):
         check_levels(self.levels)
+        check_variants(self.variants)
+        check_shear_weighting(self.shear_weighting)
+
+
+def check_variants(variants: tuple) -> tuple:
+    """variants, if each is one of VARIANTS; else ValueError."""
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
+    return variants
 
 
 def check_levels(levels: tuple) -> tuple:

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 from . import bench
 from .condense import VARIANTS, SolveConfig
+from .plate import check_shear_weighting
 
 
 def _solve(args) -> int:
@@ -65,19 +66,23 @@ def _as_bool(text: str) -> bool:
     return value in ("1", "true", "yes", "on")
 
 
+def _as_variants(text: str) -> tuple:
+    return bench.check_variants(_as_list(str)(text))
+
+
 # config key -> (StudyConfig field, cast); a field may be given once, under
 # one of its keys, and a cast raises ValueError on a value it cannot take
 _CONFIG_KEYS = {
     "geometry": ("geometry", str),
-    "variants": ("variants", _as_list(str)),
-    "variant": ("variants", _as_list(str)),
+    "variants": ("variants", _as_variants),
+    "variant": ("variants", _as_variants),
     "degrees": ("degrees", _as_list(int)),
     "degree": ("degrees", _as_list(int)),
     "levels": ("levels", lambda text: bench.check_levels(_as_list(int)(text))),
     "thicknesses": ("thicknesses", _as_list(float)),
     "thickness": ("thicknesses", _as_list(float)),
     "continuity_reduction": ("continuity_reduction", _as_bool),
-    "shear_weights": ("shear_weighting", str),
+    "shear_weights": ("shear_weighting", check_shear_weighting),
     "out": ("out", str),
     "record_timings": ("record_timings", _as_bool),
 }

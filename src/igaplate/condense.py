@@ -188,13 +188,63 @@ def build_transforms(ctx: ProblemContext) -> tuple[list, list]:
     return t1s, t2s
 
 
+class MatrixProduct:
+    """The product L R of two sparse matrices, kept as its factors (L, R).
+
+    Offers what a matrix-free reader needs of it: shape, nnz (the entries
+    both factors store), products with vectors, applied as L (R v), and the
+    transpose R^T L^T.  tocsr() forms it.
+    """
+
+    def __init__(self, left, right):
+        self.factors = (left, right)
+        self.shape = (left.shape[0], right.shape[1])
+
+    @property
+    def nnz(self) -> int:
+        return self.factors[0].nnz + self.factors[1].nnz
+
+    @property
+    def T(self) -> "MatrixProduct":
+        left, right = self.factors
+        return MatrixProduct(right.T, left.T)
+
+    def __matmul__(self, v):
+        left, right = self.factors
+        return left @ (right @ v)
+
+    def tocsr(self) -> sp.csr_matrix:
+        """(L @ R).tocsr(): the one place a transformed shear block T K is multiplied out."""
+        left, right = self.factors
+        return (left @ right).tocsr()
+
+
+class _FormedOnRead:
+    """A per-patch list of MatrixProducts whose elements read as the formed matrices.
+
+    `products` holds them unformed, for readers that need no formed matrix.
+    """
+
+    def __init__(self, products):
+        self.products = list(products)
+
+    def __len__(self) -> int:
+        return len(self.products)
+
+    def __getitem__(self, p: int) -> sp.csr_matrix:
+        return self.products[p].tocsr()
+
+
 def pg_transform(system: MixedSystem, t1, t2) -> MixedSystem:
     """Pre-multiply the shear rows with the dual transforms (Petrov-Galerkin).
 
     Accepts one transform per shear component for a single patch, or a list
     per patch.  Displacement rows are untouched; the transform is an
     invertible row operation, so exact condensation afterwards leaves the
-    solution unchanged.
+    solution unchanged.  Each transformed block T K is kept as its two
+    factors (MatrixProduct): reading a block of the result, k_s1d[p] say,
+    forms it, while lumped condensation applies the factors and forms
+    nothing.
     """
     t1s = t1 if isinstance(t1, (list, tuple)) else [t1]
     t2s = t2 if isinstance(t2, (list, tuple)) else [t2]
@@ -207,16 +257,16 @@ def pg_transform(system: MixedSystem, t1, t2) -> MixedSystem:
                 raise DimensionMismatch(
                     f"transform size {t.matrix.shape} does not match shear block {blk.shape}"
                 )
-        k_s1d.append((t1s[p].matrix @ system.k_s1d[p]).tocsr())
-        k_s2d.append((t2s[p].matrix @ system.k_s2d[p]).tocsr())
-        k_s11.append((t1s[p].matrix @ system.k_s11[p]).tocsr())
-        k_s22.append((t2s[p].matrix @ system.k_s22[p]).tocsr())
+        k_s1d.append(MatrixProduct(t1s[p].matrix, system.k_s1d[p]))
+        k_s2d.append(MatrixProduct(t2s[p].matrix, system.k_s2d[p]))
+        k_s11.append(MatrixProduct(t1s[p].matrix, system.k_s11[p]))
+        k_s22.append(MatrixProduct(t2s[p].matrix, system.k_s22[p]))
     return replace(
         system,
-        k_s1d=k_s1d,
-        k_s2d=k_s2d,
-        k_s11=k_s11,
-        k_s22=k_s22,
+        k_s1d=_FormedOnRead(k_s1d),
+        k_s2d=_FormedOnRead(k_s2d),
+        k_s11=_FormedOnRead(k_s11),
+        k_s22=_FormedOnRead(k_s22),
         transformed=True,
     )
 
@@ -238,8 +288,10 @@ class CondensedSystem:
 
     The condensed matrix K_dd - sum_a K_dSa X_a is kept as its parts: the
     bending part K_dd and, per patch, the couplings K_dSa next to the X_a.
-    The shear part sum_a K_dSa X_a is formed only when k_shear or k_cond is
-    read, afresh on every read.  Every X_a is proportional to kappa*G*t, so
+    A dual-transformed X_a = T_a K_Sad is kept as its two factors (a
+    MatrixProduct); the others are matrices.  The shear part
+    sum_a K_dSa X_a is formed only when k_shear or k_cond is read, afresh
+    on every read.  Every X_a is proportional to kappa*G*t, so
     parts condensed from unit material scalars give the matrix of any
     thickness divided by D as K_dd - (kappa*G*t / D) * shear part (see
     ThicknessFreeParts).
@@ -258,11 +310,14 @@ class CondensedSystem:
 
     @property
     def k_shear(self) -> sp.csr_matrix:
-        """sum_a K_dSa X_a, patch by patch and S1 before S2: the one place the product is formed."""
+        """sum_a K_dSa X_a, patch by patch and S1 before S2: the one place the sum is formed.
+
+        A factored X_a = T_a K_Sad is formed first, as (T_a @ K_Sad).tocsr().
+        """
         shear = None
         for pair, ops in zip(self.coupling, self.recovery):
             for k_ds, x in zip(pair, ops):
-                part = k_ds @ x
+                part = k_ds @ x.tocsr()
                 shear = part if shear is None else shear + part
         return shear.tocsr()
 
@@ -276,9 +331,12 @@ class CondensedOperator(spla.LinearOperator):
 
     Applies ThicknessFreeParts.matrix_at(mat) of lmp/ad/ead, K_dd + c *
     shear part with c = scale(mat), without forming it; rmatvec applies its
-    transpose.  Its stored-entry count and bandwidth are read from the
-    parts (see nnz_and_bandwidth).  The operator holds the parts it was
-    made from, so they live as long as it does.
+    transpose.  An ad/ead X_a = T_a K_Sad is applied from its factors, as
+    T_a (K_Sad v), so neither it nor the shear part is ever formed.  Its
+    stored-entry count and bandwidth are read from the parts, every chain
+    K_dSa T_a K_Sad (lmp: K_dSa X_a) in turn (see nnz_and_bandwidth).  The
+    operator holds the parts it was made from, so they live as long as it
+    does.
     """
 
     def __init__(self, parts: "ThicknessFreeParts", mat):
@@ -300,15 +358,18 @@ class CondensedOperator(spla.LinearOperator):
 
     def nnz_and_bandwidth(self) -> tuple[int, int]:
         """Entries stored by the parts applied, and the formed matrix's bandwidth chained through them."""
-        return nnz_and_bandwidth(self.k_dd, self.pairs)
+        chains = [(k_ds, *x.factors) if isinstance(x, MatrixProduct) else (k_ds, x) for k_ds, x in self.pairs]
+        return nnz_and_bandwidth(self.k_dd, chains)
 
 
 def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
     """Eliminate the shear DOFs.
 
     With dual-transformed shear rows the lumped block is the identity by
-    construction, so no inversion is needed; the actual row-sum deviation is
-    recorded as a diagnostic.  Without a transform, lumping inverts the row
+    construction, so no inversion is needed; the actual row-sum deviation,
+    max |T (K_SS 1) - 1|, is recorded as a diagnostic.  pg_transform's
+    blocks are read as their factors there, so X = T K_Sd stays factored
+    and nothing is formed.  Without a transform, lumping inverts the row
     sums diag(K_SS @ 1) (the plain-lumping baseline); the shear basis is a
     partition of unity, so this reproduces constant shear exactly and the
     baseline is a consistent quasi-interpolation of at most second order.
@@ -318,10 +379,13 @@ def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
     recovery = []
     dev = 0.0
     mode = "schur"
+    identity = lumped and system.transformed
     for p in range(system.n_patches):
         ops = []
-        for k_ss, k_sd in ((system.k_s11[p], system.k_s1d[p]), (system.k_s22[p], system.k_s2d[p])):
-            if lumped and system.transformed:
+        for blocks in ((system.k_s11, system.k_s1d), (system.k_s22, system.k_s2d)):
+            # the identity branch reads pg_transform's blocks unformed; the others form them
+            k_ss, k_sd = (b.products[p] if identity and isinstance(b, _FormedOnRead) else b[p] for b in blocks)
+            if identity:
                 mode = "identity"
                 _, d = row_sum_lump(k_ss)
                 dev = max(dev, d)
@@ -350,7 +414,10 @@ def condense(system: MixedSystem, lumped: bool = True) -> CondensedSystem:
 
 
 def recover_shear(cond: CondensedSystem, d_solution: np.ndarray) -> list:
-    """Per-patch shear coefficients that balance the (lumped) shear rows."""
+    """Per-patch shear coefficients that balance the (lumped) shear rows, S_a = -X_a d.
+
+    A factored X_a = T_a K_Sad is applied as T_a (K_Sad d).
+    """
     return [tuple(-np.asarray(x @ d_solution).ravel() for x in pair) for pair in cond.recovery]
 
 
@@ -431,11 +498,11 @@ class ThicknessFreeParts:
                     those blocks; its shear unknowns are scaled by 1/D and
                     its shear rows keep their right-hand side of 0
 
-    For lmp/ad/ead the shear part is kept as its factors in `cond`, and
-    `scaled` is None until matrix_at first forms it; the level's later
-    formed matrices reuse it.  operator_at applies the pencil from the
-    factors instead (see CondensedOperator), so a level that GMRES solves
-    never forms the product.
+    For lmp/ad/ead the shear part is kept as its factors in `cond` (ad/ead:
+    K_dSa, T_a and K_Sad), and `scaled` is None until matrix_at first forms
+    it; the level's later formed matrices reuse it.  operator_at applies
+    the pencil from the factors instead (see CondensedOperator), so a level
+    that GMRES solves forms neither the shear part nor any T_a K_Sad.
     """
 
     ctx: ProblemContext

@@ -188,6 +188,13 @@ def _local_ids(first: np.ndarray, count: int) -> np.ndarray:
     return first[:, None] + np.arange(count)
 
 
+def check_shear_weighting(shear_weighting: str) -> str:
+    """shear_weighting, if it names one, 'nurbs' or 'bspline'; else ValueError."""
+    if shear_weighting not in ("nurbs", "bspline"):
+        raise ValueError(f"unknown shear weighting {shear_weighting!r}")
+    return shear_weighting
+
+
 def build_field_spaces(
     patch: SurfacePatch,
     target_p: int,
@@ -204,8 +211,7 @@ def build_field_spaces(
     p0, q0 = patch.degrees
     if target_p < 2:
         raise DegreeTooLow("mixed plate spaces need degree >= 2")
-    if shear_weighting not in ("nurbs", "bspline"):
-        raise ValueError(f"unknown shear weighting {shear_weighting!r}")
+    check_shear_weighting(shear_weighting)
     # geometry degrees can exceed the requested one; never lower them
     pu = max(target_p, p0)
     pv = max(target_p, q0)

@@ -429,21 +429,25 @@ def _band(lo: np.ndarray, hi: np.ndarray) -> int:
 
 
 def nnz_and_bandwidth(a: sp.csr_matrix | sp.csc_matrix, products=()) -> tuple[int, int]:
-    """Stored entry count and max |row-col| over the stored entries of a + sum of b @ c.
+    """Stored entry count and max |row-col| over the stored entries of a + sum of the products.
 
-    The sum runs over the pairs (b, c) of the sequence products.  a's index
-    arrays are read as stored, CSR or CSC (the band is the larger of a's and
-    the products'), with no copy of the matrix; the indices need not be
-    sorted and are left as they are (see _inf_norm).  With products, the
-    count is of the entries a and every b and c store, as an exact count of
-    the formed sum would cost as much as forming it, and each row's least
-    and largest stored column is chained through b and c in O(nnz), so no
-    product is formed.  The formed sum's bandwidth can only be narrower,
-    where an extreme entry cancels to exactly zero and is dropped.
+    Each product is a chain (b, c, ...) of two or more sparse factors, whose
+    product b @ c @ ... enters the sum.  a's index arrays are read as
+    stored, CSR or CSC (the band is the larger of a's and the products'),
+    with no copy of the matrix; the indices need not be sorted and are left
+    as they are (see _inf_norm).  With products, the count is of the
+    entries a and every factor store, as an exact count of the formed sum
+    would cost as much as forming it, and each row's least and largest
+    stored column is chained through the factors from right to left in
+    O(nnz), so no product is formed.  The formed sum's bandwidth can only
+    be narrower, where an extreme entry cancels to exactly zero and is
+    dropped.
     """
     lo, hi = _index_range(a)
-    for b, c in products:
-        b_lo, b_hi = _index_range(b.tocsr(), *_index_range(c.tocsr()))
-        np.minimum(lo, b_lo, out=lo)
-        np.maximum(hi, b_hi, out=hi)
-    return int(a.nnz + sum(b.nnz + c.nnz for b, c in products)), _band(lo, hi)
+    for chain in products:
+        c_lo, c_hi = _index_range(chain[-1].tocsr())
+        for factor in chain[-2::-1]:
+            c_lo, c_hi = _index_range(factor.tocsr(), c_lo, c_hi)
+        np.minimum(lo, c_lo, out=lo)
+        np.maximum(hi, c_hi, out=hi)
+    return int(a.nnz + sum(f.nnz for chain in products for f in chain)), _band(lo, hi)

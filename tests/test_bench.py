@@ -531,6 +531,13 @@ def test_study_levels_must_be_non_negative_and_strictly_increasing(levels):
         StudyConfig(geometry="undistorted", levels=levels)
 
 
+def test_a_study_rejects_an_unknown_variant_or_shear_weighting_before_any_cell():
+    with pytest.raises(ValueError, match="unknown variant 'eadd'"):
+        StudyConfig(geometry="undistorted", variants=("ead", "eadd"))
+    with pytest.raises(ValueError, match="unknown shear weighting 'nurb'"):
+        StudyConfig(geometry="undistorted", shear_weighting="nurb")
+
+
 def test_least_squares_rate():
     errs = [1.0, 0.25, 0.0625, 0.015625]
     assert abs(least_squares_rate(errs, last=3) - 2.0) < 1e-12
@@ -697,6 +704,8 @@ def test_config_file_keys_aliases_and_errors(tmp_path):
         ("levels = 1,2\nlevels = 1,3\n", r"line 3: 'levels' sets 'levels' again, set by 'levels' on line 2"),
         ("variant = mxd\nvariants = ead\n", r"line 3: 'variants' sets 'variants' again, set by 'variant' on line 2"),
         ("variants = ead\nvariant = mxd\n", r"line 3: 'variant' sets 'variants' again, set by 'variants' on line 2"),
+        ("out = a.csv\nvariants = ead,eadd\n", r"line 3: bad 'variants': unknown variant 'eadd'; pick one of"),
+        ("shear_weights = nurb\n", r"line 2: bad 'shear_weights': unknown shear weighting 'nurb'"),
     ],
     ids=[
         "boolean",
@@ -707,6 +716,8 @@ def test_config_file_keys_aliases_and_errors(tmp_path):
         "repeated-key",
         "alias-after-key",
         "key-after-alias",
+        "unknown-variant",
+        "unknown-shear-weighting",
     ],
 )
 def test_config_file_errors_name_their_line(tmp_path, text, message):

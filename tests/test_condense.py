@@ -689,6 +689,70 @@ def test_gmres_applies_the_condensed_matrix_without_forming_it(monkeypatch):
     assert diag["nnz_solved"] == sum(m.nnz for m in applied) < cond.k_cond.nnz
 
 
+def _count_transformed_blocks(monkeypatch):
+    """Patch the one place a transformed shear block T K is formed to record each call; returns the record."""
+    from igaplate.condense import MatrixProduct
+
+    calls = []
+    form = MatrixProduct.tocsr
+
+    def counting(self):
+        calls.append(self.shape)
+        return form(self)
+
+    monkeypatch.setattr(MatrixProduct, "tocsr", counting)
+    return calls
+
+
+def test_a_level_that_gmres_solves_forms_no_transformed_shear_block(monkeypatch):
+    # GMRES applies every X = T K_Sd as T (K_Sd v) and lumping reads the row
+    # sums as T (K_SS 1), so no T K is multiplied out (four were, per patch)
+    cfg = SolveConfig(variant="ead", degree=3, level=3, thickness=1.0)
+    formed = _count_transformed_blocks(monkeypatch)
+    sol = solve_variant(geometry_catalog("c0_single"), cfg, load=lambda x, y: np.ones_like(x))
+    monkeypatch.undo()
+
+    assert sol.diagnostics["solver"] == "gmres"
+    assert formed == []
+
+
+def test_a_direct_level_forms_each_transformed_coupling_once_and_as_before(monkeypatch):
+    # a direct factor needs the matrix: each X = T K_Sd is formed once, as
+    # (T @ K_Sd).tocsr(), then K_dS @ X, so the matrix is the same to the byte;
+    # no T K_SS is formed, and the row-sum deviation is that of the formed T K_SS
+    from igaplate.condense import assemble_mixed, build_parts
+    from igaplate.plate import UnitMaterial
+
+    pa = geometry_catalog("mp_various")
+    cfg = SolveConfig(variant="ead", degree=3, level=2, thickness=1e-4)
+    load = lambda x, y: np.ones_like(x)  # noqa: E731
+    formed = _count_transformed_blocks(monkeypatch)
+    sol = solve_variant(pa, cfg, load=load)
+    monkeypatch.undo()
+    assert sol.diagnostics["solver"] == "lu"
+    assert len(formed) == 4  # two patches, S1 and S2
+
+    parts = build_parts(pa, cfg, [load])
+    mat = cfg.make_material()
+    ctx = prepare_problem(pa, cfg)
+    system = assemble_mixed(ctx, UnitMaterial(cfg.nu))
+    t1s, t2s = build_transforms(ctx)
+    shear, dev = None, 0.0
+    for p in range(system.n_patches):
+        for t, k_ds, k_sd, k_ss in (
+            (t1s[p], system.k_ds1[p], system.k_s1d[p], system.k_s11[p]),
+            (t2s[p], system.k_ds2[p], system.k_s2d[p], system.k_s22[p]),
+        ):
+            part = k_ds @ (t.matrix @ k_sd).tocsr()
+            shear = part if shear is None else shear + part
+            dev = max(dev, row_sum_lump((t.matrix @ k_ss).tocsr())[1])
+    reference = (system.k_dd + parts.scale(mat) * shear.tocsr()).tocsr()  # K_dd - (kGt/D) sum_a K_dSa X_a
+    matrix = parts.matrix_at(mat)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(matrix, name).tobytes() == getattr(reference, name).tobytes()
+    assert abs(parts.cond.lump_dev - dev) <= 1e-14
+
+
 @pytest.mark.parametrize(("geometry", "level"), [("c0_single", 3), ("mp_various", 2)])
 def test_the_condensed_operator_is_the_formed_matrix(geometry, level):
     # products with the operator and its transpose match the formed matrix,

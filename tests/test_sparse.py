@@ -467,3 +467,25 @@ def test_bandwidth_of_a_sum_of_products_is_read_without_forming_them():
     empty = sp.csr_matrix((n, n))
     assert nnz_and_bandwidth(empty, []) == (0, 0)
     assert nnz_and_bandwidth(empty, pairs[:1])[1] == nnz_and_bandwidth((pairs[0][0] @ pairs[0][1]).tocsr())[1]
+
+
+def test_bandwidth_of_a_chain_of_three_factors_is_read_without_forming_it():
+    # a chain (b, t, c) stands for b @ t @ c, as the condensed operator's K_dS T K_Sd;
+    # random entries are positive, so no extreme entry cancels and the band is exact
+    rng = np.random.default_rng(5)
+    n, m = 80, 45
+    a = sp.diags([np.ones(n - 1), np.ones(n)], [-1, 0], format="csr")
+    chains = []
+    for density in (0.02, 0.05):
+        b = sp.random(n, m, density=density, random_state=rng, format="csr")
+        t = sp.random(m, m, density=density, random_state=rng, format="csr")
+        c = sp.random(m, n, density=density, random_state=rng, format="csr")
+        chains.append((b, t, c))
+        formed = a + sum(b @ t @ c for b, t, c in chains)
+        stored = a.nnz + sum(f.nnz for chain in chains for f in chain)
+        assert nnz_and_bandwidth(a, chains) == (stored, nnz_and_bandwidth(formed.tocsr())[1])
+        csc = [tuple(f.tocsc() for f in chain) for chain in chains]  # factors in any format
+        assert nnz_and_bandwidth(a.tocsc(), csc) == nnz_and_bandwidth(a, chains)
+    # a chain of three reads as the pair of its formed left product and its last factor
+    b, t, c = chains[1]
+    assert nnz_and_bandwidth(a, [(b, t, c)])[1] == nnz_and_bandwidth(a, [((b @ t).tocsr(), c)])[1]

@@ -40,23 +40,7 @@ def _split(text: str, cast=str) -> list:
     return [cast(v.strip()) for v in text.split(",") if v.strip()]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("--geometries", default=",".join(GEOMETRY_NAMES))
-    parser.add_argument("--variants", default="ead")
-    parser.add_argument("--degrees", default="2,3")
-    parser.add_argument("--levels", default="3,4")
-    parser.add_argument("--thicknesses", default="1,1e-2,3e-3,1e-3,1e-4")
-    parser.add_argument(
-        "--min-dofs", type=int, default=condense.GMRES_MIN_DOFS, help="skip smaller cells unsolved"
-    )
-    args = parser.parse_args(argv)
-
-    # open both gates, so every cell tries GMRES before any LU
-    condense.GMRES_MIN_DOFS = 0
-    condense.GMRES_MAX_SLENDERNESS = {v: np.inf for v in condense.VARIANTS if v != "std"}
+def _print_rows(args) -> None:
     load = lambda x, y: np.ones_like(x)  # noqa: E731
     print("geometry,variant,p,L,t,n,alpha,iterations,accepted,seconds")
     for geometry in _split(args.geometries):
@@ -82,6 +66,30 @@ def main(argv=None) -> int:
                             f"{alpha:.4g},{d['iterations']},{d['solver'] == 'gmres'},{seconds:.3f}",
                             flush=True,
                         )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--geometries", default=",".join(GEOMETRY_NAMES))
+    parser.add_argument("--variants", default="ead")
+    parser.add_argument("--degrees", default="2,3")
+    parser.add_argument("--levels", default="3,4")
+    parser.add_argument("--thicknesses", default="1,1e-2,3e-3,1e-3,1e-4")
+    parser.add_argument(
+        "--min-dofs", type=int, default=condense.GMRES_MIN_DOFS, help="skip smaller cells unsolved"
+    )
+    args = parser.parse_args(argv)
+
+    # open both gates, so every cell tries GMRES before any LU; closed again on return
+    gates = condense.GMRES_MIN_DOFS, condense.GMRES_MAX_SLENDERNESS
+    condense.GMRES_MIN_DOFS = 0
+    condense.GMRES_MAX_SLENDERNESS = {v: np.inf for v in condense.VARIANTS if v != "std"}
+    try:
+        _print_rows(args)
+    finally:
+        condense.GMRES_MIN_DOFS, condense.GMRES_MAX_SLENDERNESS = gates
     return 0
 
 

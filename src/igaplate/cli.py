@@ -24,7 +24,6 @@ def _solve(args) -> int:
         continuity_reduction=False if args.no_continuity_reduction else None,
     )
     sol, err = bench.run_single(assembly, problem, config)
-    d = sol.diagnostics
     summary = {
         "geometry": args.geometry,
         "variant": args.variant,
@@ -33,18 +32,7 @@ def _solve(args) -> int:
         "thickness": args.thickness,
         "shear_weights": args.shear_weights,
         "l2_error": err,
-        "n_dof_primal": d["n_dof_primal"],
-        "n_dof_mixed": d["n_dof_mixed"],
-        "n_dof_solved": d["n_dof_solved"],
-        "nnz_solved": d["nnz_solved"],
-        "bandwidth": d["bandwidth"],
-        "lu_fill": d["lu_fill"],
-        "assembly_s": d["assembly_s"],
-        "factor_s": d["factor_s"],
-        "solve_s": d["solve_s"],
-        "lump_dev": d["lump_dev"],
-        "solver": d["solver"],
-        "iterations": d["iterations"],
+        **sol.diagnostics,
     }
     for key, value in summary.items():
         print(f"{key} = {value}")
@@ -178,8 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; exit code 0, 1 if `geometry` has nothing to do, 2 if study cells failed, 3 on an input error."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (bench.ParseError, bench.UnknownGeometry, bench.InvalidGeometry) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

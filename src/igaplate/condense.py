@@ -523,27 +523,26 @@ class ThicknessFreeParts:
         """Primal matrix of mat divided by D on the free d DOFs, bending + (kGt/D) shear.
 
         Its bending part is the leading block of fixed, the system's own
-        K_dd: the same bending blocks summed in the same order.  The sum P
-        is returned as (P + P^T) / 2, exactly symmetric, so that KrylovSolver
-        may factorise it by a band Cholesky; P itself is symmetric only up
-        to the round-off of the element products (9e-17 relative).
+        K_dd: the same bending blocks summed in the same order.  It is
+        symmetric up to the round-off of the element products (9e-17
+        relative); KrylovSolver reads its lower triangle alone.
         """
         if self.penalty is None:
             self.penalty = _primal_parts(self.ctx, bending=False)[0]
         n = len(self.free)
-        p = self.fixed[:n, :n] + _ratio(mat) * self.penalty
-        return (0.5 * (p + p.T)).tocsc()
+        return (self.fixed[:n, :n] + _ratio(mat) * self.penalty).tocsc()
 
-    def orders(self, primal: bool = False) -> list:
-        """Candidate band orders of the level's systems, or with primal of its primal matrix, one per grid sweep.
+    def orders(self) -> list:
+        """Candidate band orders of the level's systems, one per grid sweep.
 
         Every unknown belongs to a control point: a free d DOF to its point
         (through d_ids), an mxd S1 DOF (i, j) of a patch to point (i, j) of
         that patch's displacement grid without its last row, and an S2 DOF to
         point (i, j) of the grid without its last column.  An order sorts
         the unknowns by their point's place in a sweep (ProblemContext.sweeps),
-        then by kind: w, theta_1, theta_2, S1, S2.  The primal matrix has
-        the free d DOFs alone; so has every system but mxd's.
+        then by kind: w, theta_1, theta_2, S1, S2.  Every system but mxd's
+        has the free d DOFs alone, and so has the primal matrix, whose
+        orders are these restricted to them (see KrylovSolver).
         """
         ctx, n = self.ctx, self.ctx.refined.n_points
         points = np.arange(n)[:, None]
@@ -551,7 +550,7 @@ class ThicknessFreeParts:
         point_of, kind_of = np.empty(3 * n, dtype=np.int64), np.empty(3 * n, dtype=np.int64)
         point_of[ids], kind_of[ids] = points, np.arange(3)
         point, kind = point_of[self.free], kind_of[self.free]
-        if ctx.config.variant == "mxd" and not primal:
+        if ctx.config.variant == "mxd":
             grids = [pm.reshape(s.disp.shape) for pm, s in zip(ctx.refined.point_maps, ctx.spaces)]
             shear = [g[:-1].ravel() for g in grids] + [g[:, :-1].ravel() for g in grids]  # S1, then S2 of every patch
             point = np.concatenate([point, *shear])
@@ -705,7 +704,7 @@ def solve_thicknesses(assembly, config: SolveConfig, thicknesses, loads) -> list
                 t1 = time.perf_counter()
                 x, iterations = None, None
                 if primal is not None:
-                    solver = KrylovSolver(matrix, primal, lambda: parts.orders(primal=True))
+                    solver = KrylovSolver(matrix, primal, parts.orders)
                     del primal
                     t2 = time.perf_counter()
                     x = solver.solve(rhs)

@@ -194,23 +194,25 @@ class BandLU:
 class BandCholesky:
     """LAPACK pbtrf factor B = L L^T of a symmetric B = M[perm][:, perm], held as one band.
 
-    perm, inv and kd (kl = ku of a symmetric M) are those of band_order.  M's
-    lower triangle is scattered from its CSC arrays straight into the
-    Fortran-ordered (kd + 1, n) band that pbtrf overwrites with L: B's entry
-    (i, j), i >= j, in row i - j of column j.  The upper triangle is not
-    read.  Offers shape, nnz (the entries the band stores) and solve(b),
-    which applies perm on both sides so that it solves with M.  Raises
-    SingularMatrix when a pivot is not positive.
+    perm and inv are those of band_order, and kd is at least its kl and ku.
+    M's lower triangle alone is read, its entry (i, j), i >= j, going to B's
+    (inv[i], inv[j]) or its mirror, whichever is on or below the diagonal,
+    so M need be symmetric only up to round-off.  It is scattered from its
+    CSC arrays straight into the Fortran-ordered (kd + 1, n) band that pbtrf
+    overwrites with L.  Offers shape, nnz (the entries the band stores) and
+    solve(b), which applies perm on both sides so that it solves with M.
+    Raises SingularMatrix when a pivot is not positive.
     """
 
     def __init__(self, m: sp.csc_matrix, perm: np.ndarray, inv: np.ndarray, kd: int):
         n = m.shape[0]
         self.shape, self._perm, self._inv = m.shape, perm, inv
         band = np.zeros((kd + 1, n), order="F")
-        rows, cols = inv[m.indices].astype(np.intp), np.repeat(inv.astype(np.intp), np.diff(m.indptr))
-        lower = rows >= cols
-        # flat Fortran index of B's (i, j): i - j + j * (kd + 1)
-        np.add.at(band.ravel(order="F"), (rows + kd * cols)[lower], m.data[lower])  # duplicates add up, as in M
+        cols = np.repeat(np.arange(n), np.diff(m.indptr))
+        lower = m.indices >= cols
+        r, c = inv[m.indices[lower]].astype(np.intp), inv[cols[lower]].astype(np.intp)
+        # flat Fortran index of B's (r, c), r >= c: r - c + c * (kd + 1); duplicates add up, as in M
+        np.add.at(band.ravel(order="F"), np.maximum(r, c) + kd * np.minimum(r, c), m.data[lower])
         factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=True)
         if info > 0:
             raise SingularMatrix(f"pivot {info - 1} of the band is not positive")
@@ -306,17 +308,19 @@ class DirectSolver:
 class KrylovSolver:
     """GMRES on A preconditioned by the factor of a nearby matrix M.
 
-    An M that equals its transpose exactly and whose band, in the candidate
-    order where it is narrowest (reverse Cuthill-McKee without candidates,
-    see band_order), stores at most BAND_MAX_ENTRIES entries is factorised
-    by LAPACK pbtrf as a band Cholesky (BandCholesky), which needs M
-    positive definite.  Any other M is factorised by SuperLU in symmetric
-    mode (minimum degree on M^T + M, diagonal pivots).  If A is
-    larger than M, A is a saddle matrix [[K, B], [B', C]] whose leading
-    block has M's size, and M stands in for its Schur complement
-    K - B C^-1 B': the preconditioner is the block upper triangle
-    [[M, B], [0, C]], with C factorised by SuperLU's default LU.  With the
-    exact Schur complement as M, GMRES converges in at most two iterations.
+    M, and a saddle matrix's block C (below), must be symmetric positive
+    definite.  Each is factorised by LAPACK pbtrf as a band Cholesky
+    (BandCholesky, which reads the lower triangle alone) in the candidate
+    order where its band is narrowest (see band_order), or by SuperLU in
+    symmetric mode (minimum degree on M^T + M, diagonal pivots) if that
+    band would store more than BAND_MAX_ENTRIES entries.  orders are
+    candidates for A's unknowns; M takes each restricted to its own, the
+    leading ones.  If A is larger than M, A is a saddle matrix
+    [[K, B], [B', C]] whose leading block has M's size, and M stands in
+    for its Schur complement K - B C^-1 B': the preconditioner is the
+    block upper triangle [[M, B], [0, C]], C in its own, block-diagonal,
+    order.  With the exact Schur complement as M, GMRES converges in at
+    most two iterations.
 
     A may also be a square LinearOperator with matvec and rmatvec, which
     GMRES applies without a matrix ever being formed.
@@ -345,20 +349,20 @@ class KrylovSolver:
         m = sp.csc_matrix(m, dtype=float)
         n = m.shape[0]
         try:
-            self._lu = self._factor(m, orders)
+            self._lu = self._factor(m, lambda: [o[o < n] for o in (orders() if callable(orders) else orders)])
             if n < self.a.shape[0]:
                 self._coupling = self.a[:n, n:]
-                self._lu_c = spla.splu(sp.csc_matrix(self.a[n:, n:]))
+                self._lu_c = self._factor(sp.csc_matrix(self.a[n:, n:]), [np.arange(self.a.shape[0] - n)])
         except (RuntimeError, SingularMatrix):
             self._lu = None
 
     @staticmethod
     def _factor(m: sp.csc_matrix, orders):
-        """M's BandCholesky if M is exactly symmetric and its band fits in BAND_MAX_ENTRIES, else its SuperLU."""
-        if (m != m.T).nnz == 0:
-            perm, inv, kd, _ = band_order(m, orders)
-            if (kd + 1) * m.shape[0] <= BAND_MAX_ENTRIES:
-                return BandCholesky(m, perm, inv, kd)
+        """M's BandCholesky if its band fits in BAND_MAX_ENTRIES, else its SuperLU."""
+        perm, inv, kl, ku = band_order(m, orders)
+        kd = max(kl, ku)  # a stored entry's mirror may be B's farthest from the diagonal
+        if (kd + 1) * m.shape[0] <= BAND_MAX_ENTRIES:
+            return BandCholesky(m, perm, inv, kd)
         return spla.splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     @property

@@ -633,6 +633,46 @@ def test_cli_solve_and_convergence(tmp_path, capsys):
     assert csv.exists()
 
 
+def test_cli_solve_reports_every_diagnostic(tmp_path, capsys):
+    import json
+
+    from igaplate.cli import main
+
+    out = tmp_path / "run.json"
+    args = ["--geometry", "undistorted", "--variant", "ead", "--degree", "2", "--level", "1", "--thickness", "0.1"]
+    assert main(["solve", *args, "--out", str(out)]) == 0
+    summary, printed = json.loads(out.read_text()), capsys.readouterr().out.splitlines()
+    config = SolveConfig(variant="ead", degree=2, level=1, thickness=0.1)
+    sol, _ = run_single(geometry_catalog("undistorted"), BenchmarkProblem("undistorted", thickness=0.1), config)
+    assert "condense_mode" in sol.diagnostics
+    for key, value in sol.diagnostics.items():
+        assert key in summary and any(line.startswith(f"{key} = ") for line in printed)
+        if not key.endswith("_s"):  # timings differ between the runs
+            assert summary[key] == value and f"{key} = {value}" in printed
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["convergence", "--config", "study.cfg"], "error: line 2: bad 'variants': unknown variant 'eadd'"),
+        (
+            ["solve", "--geometry", "nosuch", "--variant", "ead", "--degree", "2", "--level", "1", "--thickness", "1"],
+            "error: 'nosuch' is neither a catalog name nor a file",
+        ),
+    ],
+    ids=["config", "geometry"],
+)
+def test_cli_input_errors_print_one_line_and_exit_3(tmp_path, monkeypatch, capsys, argv, message):
+    from igaplate.cli import main
+
+    (tmp_path / "study.cfg").write_text("geometry = undistorted\nvariants = eadd\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert captured.err.startswith(message)
+
+
 def test_config_file_keys_aliases_and_errors(tmp_path):
     from igaplate.cli import _parse_config_file
 
@@ -797,6 +837,27 @@ def test_plot_sparsity_script_prints_every_stage(capsys):
     out = capsys.readouterr().out
     for stage in ("mixed saddle system:", "dual-transformed:", "condensed (lumped):"):
         assert stage in out
+
+
+def test_krylov_map_script_prints_a_row_and_closes_the_gates_again(capsys, monkeypatch):
+    import importlib
+    import importlib.util
+
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # the script sets these on import; restored after the test
+    condense = importlib.import_module("igaplate.condense")
+    gates = condense.GMRES_MIN_DOFS, dict(condense.GMRES_MAX_SLENDERNESS)
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "krylov_map.py")
+    spec = importlib.util.spec_from_file_location("krylov_map", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--geometries", "undistorted", "--variants", "ead", "--degrees", "2", "--levels", "1"]
+    assert script.main(argv + ["--thicknesses", "1", "--min-dofs", "0"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "geometry,variant,p,L,t,n,alpha,iterations,accepted,seconds"
+    assert len(rows) == 1 and rows[0].startswith("undistorted,ead,2,1,1,")
+    assert rows[0].split(",")[8] == "True"  # 12 free d DOFs: GMRES on the primal factor converges
+    assert (condense.GMRES_MIN_DOFS, condense.GMRES_MAX_SLENDERNESS) == gates
 
 
 def test_cell_digests_script_pins_each_cell(capsys, monkeypatch):

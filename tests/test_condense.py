@@ -334,13 +334,13 @@ def test_condition_estimate_reuses_the_factorisation(factorisations, variant):
     [
         ("undistorted", "ead", 2, 1, "getrf"),
         ("undistorted", "mxd", 2, 4, "gbtrf"),
-        ("c0_single", "mxd", 3, 3, "pbtrf+splu"),
+        ("c0_single", "mxd", 3, 3, "pbtrf+pbtrf"),
     ],
 )
 def test_lu_fill_counts_the_entries_the_factors_store(monkeypatch, geometry, variant, p, level, factor):
     # getrf stores n^2 entries, gbtrf its (2 kl + ku + 1, n) band, pbtrf its
     # (kd + 1, n) band, SuperLU its nnz; the c0_single cell takes GMRES: the
-    # primal matrix's band Cholesky and the shear block's SuperLU LU count
+    # band Cholesky of the primal matrix and that of the shear block count
     import scipy.linalg.lapack as lapack
     import scipy.sparse.linalg as spla
 
@@ -373,7 +373,7 @@ def test_lu_fill_counts_the_entries_the_factors_store(monkeypatch, geometry, var
     assert d["lu_fill"] == sum(size for _, size in stored) > 0
     if factor == "getrf":
         assert d["lu_fill"] == d["n_dof_solved"] ** 2
-    elif factor == "pbtrf+splu":
+    elif factor == "pbtrf+pbtrf":
         assert d["solver"] == "gmres" and len(stored) == 2
 
 

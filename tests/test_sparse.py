@@ -264,17 +264,19 @@ def test_krylov_solver_returns_only_answers_within_its_gate():
 
 
 def test_block_triangular_preconditioner_with_the_exact_schur_complement():
-    # a saddle [[K, B], [B2, C]] whose shear rows B2 are not B^T; with the
-    # Schur complement K - B C^-1 B2 as M, [[M, B], [0, C]] makes the
-    # preconditioned matrix I plus a nilpotent part: two iterations at most
+    # a saddle [[K, B], [B2, C]] whose shear rows B2 are -B^T, as in the
+    # plate's sign convention, so that the Schur complement K - B C^-1 B2
+    # is symmetric positive definite; with it as M, [[M, B], [0, C]] makes
+    # the preconditioned matrix I plus a nilpotent part: two iterations at most
     rng = np.random.default_rng(5)
     n, m = 40, 24
     k = sp.diags([-np.ones(n - 1), 6.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
     b = sp.random(n, m, density=0.2, random_state=rng)
-    b2 = b.T + 0.1 * sp.random(m, n, density=0.1, random_state=rng)
+    b2 = -b.T
     c = sp.diags(1.0 + rng.random(m))
     saddle = sp.bmat([[k, b], [b2, c]], format="csr")
     schur = k - b @ sp.diags(1.0 / c.diagonal()) @ b2
+    assert np.linalg.eigvalsh(schur.toarray()).min() > 0
     rhs = rng.standard_normal(n + m)
     solver = KrylovSolver(saddle, schur)
     x = solver.solve(rhs)
@@ -286,21 +288,21 @@ def test_block_triangular_preconditioner_with_the_exact_schur_complement():
 
 
 def _primal(geometry: str, level: int) -> sp.csc_matrix:
-    """The primal matrix (P + P^T) / 2 of an ead p3 cell at t = 1, as KrylovSolver receives it."""
+    """The primal matrix of an ead p3 cell at t = 1, as KrylovSolver receives it."""
     cfg = SolveConfig(variant="ead", degree=3, level=level, thickness=1.0)
     return build_parts(geometry_catalog(geometry), cfg).primal(cfg.make_material())
 
 
 @pytest.mark.parametrize(("geometry", "level"), [("c0_single", 2), ("mp_various", 1)])
 def test_a_band_cholesky_of_a_primal_matrix_solves_like_a_dense_cholesky(geometry, level):
+    # the primal matrix is symmetric up to round-off; the band reads its lower triangle alone
     m = _primal(geometry, level)
     n = m.shape[0]
-    assert (m != m.T).nnz == 0
     perm, inv, kl, ku = rcm_band(m)
-    assert kl == ku
-    factor = BandCholesky(m, perm, inv, kl)
-    assert factor.shape == m.shape and factor.nnz == (kl + 1) * n
-    dense = cho_factor(m.toarray())
+    kd = max(kl, ku)
+    factor = BandCholesky(m, perm, inv, kd)
+    assert factor.shape == m.shape and factor.nnz == (kd + 1) * n
+    dense = cho_factor(sp.tril(m).toarray(), lower=True)
     rhs = np.random.default_rng(12).standard_normal((n, 2))
     for b in (rhs[:, 0], rhs):
         x, ref = factor.solve(b), cho_solve(dense, b)
@@ -354,8 +356,9 @@ def test_the_grid_sweep_band_is_no_wider_than_rcm_on_every_catalog_geometry(geom
     cfg = SolveConfig(variant=variant, degree=degree, level=3, thickness=1.0)
     parts = build_parts(geometry_catalog(geometry), cfg)
     mat = cfg.make_material()
-    orders, primal_orders = parts.orders(), parts.orders(primal=True)
-    assert len(orders) == len(primal_orders) == 2
+    orders, n = parts.orders(), len(parts.free)
+    primal_orders = [o[o < n] for o in orders]  # the primal matrix's, as KrylovSolver restricts them
+    assert len(orders) == 2
     for m, candidates in ((sp.csc_matrix(parts.matrix_at(mat)), orders), (parts.primal(mat), primal_orders)):
         _, _, kl, ku = band_order(m, candidates)
         _, _, rcm_kl, rcm_ku = rcm_band(m)
@@ -395,16 +398,27 @@ def test_a_primal_matrix_whose_band_exceeds_the_cap_goes_to_superlu(factorisatio
     assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
 
-def test_a_preconditioner_symmetric_only_to_round_off_goes_to_superlu(factorisations):
+def test_a_preconditioner_is_read_from_its_lower_triangle_alone(factorisations):
+    # an M whose strict upper triangle is one ulp off its transpose gives
+    # the band Cholesky, the answer bytes and the iterations of the symmetric M
     n = 50
+    a = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -1.5 * np.ones(n - 1)], [-1, 0, 1], format="csr")
     m = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
-    KrylovSolver(m, m)
-    assert factorisations == ["pbtrf"]
-    off = m.tolil()
-    off[3, 4] = np.nextafter(-1.0, 0.0)  # one ulp from m[4, 3]
-    krylov = KrylovSolver(m, off.tocsc())
-    assert factorisations == ["pbtrf", "splu"]
-    assert krylov.solve(np.ones(n)) is not None
+    upper = sp.triu(m, 1, format="csc")
+    upper.data = np.nextafter(upper.data, 0.0)
+    off = (sp.tril(m) + upper).tocsc()
+    assert (off != off.T).nnz == 2 * (n - 1)
+    b = np.ones(n)
+    symmetric, skewed = KrylovSolver(a, m), KrylovSolver(a, off)
+    assert factorisations == ["pbtrf", "pbtrf"]
+    x, y = symmetric.solve(b), skewed.solve(b)
+    assert x is not None and x.tobytes() == y.tobytes()
+    assert symmetric.iterations == skewed.iterations > 2
+
+
+def _symmetric_tridiagonal(n: int) -> sp.csc_matrix:
+    """tridiag(-1, 4, -1), a symmetric positive definite preconditioner near the tests' tridiag(-1, 4, -2)."""
+    return sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
 
 
 def test_solvers_take_the_inf_norm_without_reordering_the_callers_matrix():
@@ -418,7 +432,7 @@ def test_solvers_take_the_inf_norm_without_reordering_the_callers_matrix():
     assert not a.has_sorted_indices
     indices, data = a.indices.copy(), a.data.copy()
     dense_norm = np.abs(a.toarray()).sum(axis=1).max()
-    krylov = KrylovSolver(a, lap)
+    krylov = KrylovSolver(a, _symmetric_tridiagonal(n))
     assert krylov.solve(np.ones(n)) is not None
     assert krylov.norm_a == dense_norm == DirectSolver(a).norm_a == 7.0
     assert np.array_equal(a.indices, indices) and np.array_equal(a.data, data)
@@ -438,16 +452,17 @@ def test_the_gate_norm_of_an_operator_is_at_most_the_inf_norm_of_its_matrix():
     for _ in range(4):
         matrices.append((sp.random(n, n, density=0.05, random_state=rng) + 6 * sp.identity(n)).tocsr())
     b = rng.standard_normal(n)
+    m = _symmetric_tridiagonal(n)
     for a in matrices:
-        krylov = KrylovSolver(spla.aslinearoperator(a), lap)
+        krylov = KrylovSolver(spla.aslinearoperator(a), m)
         assert 0 < krylov.norm_a <= _inf_norm(a)
-        assert KrylovSolver(spla.aslinearoperator(a), lap).norm_a == krylov.norm_a
+        assert KrylovSolver(spla.aslinearoperator(a), m).norm_a == krylov.norm_a
         x = krylov.solve(b)
         assert x is not None
         assert np.linalg.norm(x - solve_direct(a, b)) <= 1e-12 * np.linalg.norm(x)
     # the estimate finds the largest row of the tridiagonal matrix, up to round-off
     assert _inf_norm(lap) == 7.0
-    assert KrylovSolver(spla.aslinearoperator(lap), lap).norm_a >= (1 - 1e-12) * 7.0
+    assert KrylovSolver(spla.aslinearoperator(lap), m).norm_a >= (1 - 1e-12) * 7.0
 
 
 def test_bandwidth_of_a_sum_of_products_is_read_without_forming_them():

@@ -3,12 +3,12 @@
 
 Runs `bench.run_convergence_study` with the given study settings, or on
 every study of one `studybench` workload (`--workload`, read from
-`studybench/workloads.py`; its singles are not study cells), and prints,
-per cell in record order: the key (variant, p, t, level), the SHA-256 of
-`d_full`, the `repr` of the L2 error, the solver, the GMRES iteration
-count, the LU fill (`lu_fill`), `nnz_condensed` and the `repr` of
-`lump_dev`.  A failed cell prints
-the name of its exception instead.  Two commits give the same answers and
+`studybench/workloads.py`) followed by its single cells through
+`bench.run_single`, and prints, per cell in record order: the key
+(variant, p, t, level), the SHA-256 of `d_full`, the `repr` of the L2
+error, the solver, the GMRES iteration count, the LU fill (`lu_fill`),
+`nnz_condensed` and the `repr` of `lump_dev`.  A failed cell prints the
+name of its exception instead.  Two commits give the same answers and
 patterns on a study exactly when their outputs are the same, so a
 byte-identity claim is one `diff`:
 
@@ -33,6 +33,7 @@ import importlib.util  # noqa: E402
 import sys  # noqa: E402
 
 from igaplate import bench  # noqa: E402
+from igaplate.condense import SolveConfig  # noqa: E402
 
 _WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "studybench", "workloads.py")
 
@@ -56,7 +57,7 @@ def main(argv=None) -> int:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--geometry", help="catalog name or geometry file")
     source.add_argument(
-        "--workload", choices=sorted(workloads), help="a studybench workload's study cells; ignores the options below"
+        "--workload", choices=sorted(workloads), help="a studybench workload's cells; ignores the options below"
     )
     parser.add_argument("--variants", default="ead")
     parser.add_argument("--degrees", default="2")
@@ -91,7 +92,29 @@ def main(argv=None) -> int:
         ]
     for config in configs:
         _print_digests(config)
+    if args.workload:
+        _print_single_digests(workload)
     return 0
+
+
+def _print_line(key: str, sol, l2: float) -> None:
+    digest = hashlib.sha256(sol.d_full.tobytes()).hexdigest()
+    d = sol.diagnostics
+    print(key, digest, repr(l2), d["solver"], d["iterations"], d["lu_fill"], d["nnz_solved"], repr(d["lump_dev"]))
+
+
+def _print_single_digests(workload) -> None:
+    assembly = bench.load_geometry(workload.geometry)
+    for variant, degree, thickness, level in workload.singles:
+        key = f"{variant} p={degree} t={float(thickness)!r} L={level}"
+        problem = bench.BenchmarkProblem(geometry=workload.geometry, thickness=thickness)
+        config = SolveConfig(variant=variant, degree=degree, level=level, thickness=thickness)
+        try:
+            sol, l2 = bench.run_single(assembly, problem, config)
+        except Exception as exc:  # printed like a failed study cell
+            print(key, f"error:{type(exc).__name__}")
+            continue
+        _print_line(key, sol, l2)
 
 
 def _print_digests(config) -> None:
@@ -115,11 +138,7 @@ def _print_digests(config) -> None:
         if r.error:
             print(key, f"error:{r.error}")
             continue
-        sol = solved[r.variant, r.p, r.t, r.level]
-        digest = hashlib.sha256(sol.d_full.tobytes()).hexdigest()
-        d = sol.diagnostics
-        extra = (d["solver"], d["iterations"], d["lu_fill"], r.nnz_condensed, repr(r.lump_dev))
-        print(key, digest, repr(r.l2_error), *extra)
+        _print_line(key, solved[r.variant, r.p, r.t, r.level], r.l2_error)
 
 
 if __name__ == "__main__":

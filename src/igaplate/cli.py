@@ -77,9 +77,13 @@ _CONFIG_KEYS = {
 
 
 def _parse_config_file(path: str) -> bench.StudyConfig:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise bench.ParseError(str(exc)) from exc
     values: dict = {}  # StudyConfig field -> (key, value, line number)
     unknown = set()
-    with open(path) as fh:
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -136,8 +140,16 @@ def _geometry(args) -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit code 3, an input error, as 2 means that study cells failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # its subparsers take its class
         prog="igaplate",
         description="Mixed isogeometric Reissner-Mindlin plate solver and benchmark",
     )
@@ -166,7 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; exit code 0, 1 if `geometry` has nothing to do, 2 if study cells failed, 3 on an input error."""
+    """Run one command; exit code 0, 1 if `geometry` has nothing to do, 2 if study cells failed, 3 on an input error.
+
+    A usage error is an input error: the parser itself exits with 3.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -17,8 +17,7 @@ class SingularMatrix(Exception):
 
 GMRES_RESTART = 60  # iterations of the one GMRES cycle; converging cells measured needed <= 50
 KRYLOV_GATE = 1e-13  # backward-error bound every direct and iterative answer must meet
-DENSE_SHARE = 0.1  # a matrix storing at least this share of its n^2 entries is factorised dense
-BAND_MAX_ENTRIES = 1 << 23  # the most entries (64 MiB) a band or dense factor of a sparser matrix may store
+BAND_MAX_ENTRIES = 1 << 23  # the most entries (64 MiB) a LAPACK band factor may store
 
 
 def _inf_norm(a: sp.csr_matrix | sp.csc_matrix) -> float:
@@ -58,39 +57,17 @@ def _residual_and_bound(a, x, b, tol: float, norm_a: float) -> tuple[float, floa
     return resid, max(bound, 1e-300)
 
 
-class DenseLU:
-    """LAPACK getrf factor P A = L U of a square CSC matrix, held as one dense array.
+def _splu(a: sp.csc_matrix, **options):
+    """spla.splu(a, **options), with SuperLU's out-of-memory abort raised as a MemoryError.
 
-    Offers the part of SuperLU's interface DirectSolver and its readers use:
-    shape, nnz (here the n^2 entries the factor stores), solve(b, trans)
-    and the factors L (unit diagonal stored) and U as sparse matrices,
-    built on first use.  The matrix is expanded once into a Fortran-ordered
-    array that getrf overwrites with the factor, so the factor is the only
-    n x n array made until L or U is read.  Raises SingularMatrix on an
-    exact zero pivot.
+    When SuperLU cannot expand its work space ("Can't expand MemType"),
+    scipy reports it as a bare SystemError ("gstrf was called with invalid
+    arguments"), which names neither the cause nor the matrix.
     """
-
-    def __init__(self, a: sp.csc_matrix):
-        self.shape = a.shape
-        lu, self._piv, info = lapack.dgetrf(a.toarray(order="F"), overwrite_a=True)
-        if info > 0:
-            raise SingularMatrix(f"exact zero pivot in column {info - 1}")
-        self._lu = lu
-        self.nnz = lu.size
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        x, _ = lapack.dgetrs(self._lu, self._piv, b, trans={"N": 0, "T": 1}[trans])
-        return x
-
-    @cached_property
-    def L(self) -> sp.csc_matrix:
-        lower = np.tril(self._lu, -1)
-        np.fill_diagonal(lower, 1.0)
-        return sp.csc_matrix(lower)
-
-    @cached_property
-    def U(self) -> sp.csc_matrix:
-        return sp.csc_matrix(np.triu(self._lu))
+    try:
+        return spla.splu(a, **options)
+    except SystemError as exc:
+        raise MemoryError(f"SuperLU ran out of memory on n = {a.shape[0]} with {a.nnz} stored entries") from exc
 
 
 def _ordered_band(a: sp.csc_matrix, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -142,10 +119,11 @@ class BandLU:
     arrays straight into the Fortran-ordered (2 kl + ku + 1, n) band that
     gbtrf overwrites with the factor: B's entry (i, j) in row kl + ku + i - j
     of column j, the first kl rows left for the fill of pivoting.  No
-    permuted copy of A is made.  Offers DenseLU's interface: shape, nnz
-    (the entries the band stores), solve(b, trans), which applies perm on
-    both sides so that it solves with A, and B's factors L and U, built on
-    first use.  Raises SingularMatrix on an exact zero pivot.
+    permuted copy of A is made.  Offers the part of SuperLU's interface
+    DirectSolver and its readers use: shape, nnz (the entries the band
+    stores), solve(b, trans), which applies perm on both sides so that it
+    solves with A, and B's factors L and U, built on first use.  Raises
+    SingularMatrix on an exact zero pivot.
     """
 
     def __init__(self, a: sp.csc_matrix, perm: np.ndarray, inv: np.ndarray, kl: int, ku: int):
@@ -228,17 +206,13 @@ class DirectSolver:
     """Factorise once, solve many; every accepted solve meets a residual bound.
 
     Handles nonsymmetric matrices.  The factor is chosen from the matrix
-    and the candidate orders, and no choice lets LAPACK store more than the
-    larger of nnz / DENSE_SHARE and BAND_MAX_ENTRIES entries:
+    and the candidate orders, and LAPACK never stores more than
+    BAND_MAX_ENTRIES entries:
 
-    - a matrix that stores at least DENSE_SHARE of its n^2 entries is
-      factorised dense by LAPACK getrf (DenseLU), in its own order, so its
-      dense array takes at most 1/DENSE_SHARE times the stored entries;
-    - any other matrix is put in the candidate order with the narrowest
-      band, or in reverse Cuthill-McKee order without candidates (see
-      band_order), and factorised as a band by LAPACK gbtrf (BandLU), or by
-      getrf if its band would need at least n rows, as long as that factor
-      stores at most BAND_MAX_ENTRIES entries;
+    - a matrix is put in the candidate order with the narrowest band, or in
+      reverse Cuthill-McKee order without candidates (see band_order), and
+      factorised as a band by LAPACK gbtrf (BandLU) if that band stores at
+      most BAND_MAX_ENTRIES entries;
     - a larger one is factorised by SuperLU in COLAMD order: a band in two
       dimensions stores O(n^1.5) entries, 2.2-3.1x SuperLU's fill on the
       large cells.
@@ -256,18 +230,14 @@ class DirectSolver:
             raise SingularMatrix("matrix must be square")
         self.a = a
         self.norm_a = _inf_norm(a)  # before the factor: its scratch is freed by then
-        if a.nnz > 0 and a.nnz >= DENSE_SHARE * n * n:
-            self._lu = DenseLU(a)
-            return
         # every column must fit in the band's kl + ku + 1 rows, so n times the longest bounds its storage below
         if n * np.diff(a.indptr).max(initial=0) <= BAND_MAX_ENTRIES:
             perm, inv, kl, ku = band_order(a, orders)
-            rows = 2 * kl + ku + 1
-            if min(rows, n) * n <= BAND_MAX_ENTRIES:
-                self._lu = DenseLU(a) if rows >= n else BandLU(a, perm, inv, kl, ku)
+            if (2 * kl + ku + 1) * n <= BAND_MAX_ENTRIES:
+                self._lu = BandLU(a, perm, inv, kl, ku)
                 return
         try:
-            self._lu = spla.splu(a, permc_spec="COLAMD")
+            self._lu = _splu(a, permc_spec="COLAMD")
         except (RuntimeError, ValueError) as exc:
             raise SingularMatrix(str(exc)) from exc
 
@@ -363,7 +333,7 @@ class KrylovSolver:
         kd = max(kl, ku)  # a stored entry's mirror may be B's farthest from the diagonal
         if (kd + 1) * m.shape[0] <= BAND_MAX_ENTRIES:
             return BandCholesky(m, perm, inv, kd)
-        return spla.splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        return _splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     @property
     def lu_fill(self) -> int:

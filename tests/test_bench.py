@@ -659,8 +659,9 @@ def test_cli_solve_reports_every_diagnostic(tmp_path, capsys):
             ["solve", "--geometry", "nosuch", "--variant", "ead", "--degree", "2", "--level", "1", "--thickness", "1"],
             "error: 'nosuch' is neither a catalog name nor a file",
         ),
+        (["convergence", "--config", "nosuch.cfg"], "error: [Errno 2] No such file or directory: 'nosuch.cfg'"),
     ],
-    ids=["config", "geometry"],
+    ids=["config", "geometry", "missing-config"],
 )
 def test_cli_input_errors_print_one_line_and_exit_3(tmp_path, monkeypatch, capsys, argv, message):
     from igaplate.cli import main
@@ -671,6 +672,25 @@ def test_cli_input_errors_print_one_line_and_exit_3(tmp_path, monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [captured.err.rstrip("\n")]
     assert captured.err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["convergence"], "igaplate convergence: error: the following arguments are required: --config"),
+        (["bogus"], "igaplate: error: argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["missing-option", "unknown-command"],
+)
+def test_cli_usage_errors_exit_3_unlike_failed_cells(capsys, argv, message):
+    # exit code 2 means that study cells failed (test_cli_convergence_failure_exit_code)
+    from igaplate.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1].startswith(message)
 
 
 def test_config_file_keys_aliases_and_errors(tmp_path):
@@ -885,6 +905,7 @@ def test_cell_digests_script_pins_each_cell(capsys, monkeypatch):
 
 
 def test_cell_digests_script_digests_a_workloads_study_cells(capsys, monkeypatch):
+    # every cell of a pass, the singles included
     import importlib.util
 
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -894,12 +915,13 @@ def test_cell_digests_script_digests_a_workloads_study_cells(capsys, monkeypatch
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.main(["--workload", "smooth_study"]) == 0
-    keys = [" ".join(line.split()[:4]) for line in capsys.readouterr().out.splitlines()]
+    lines = capsys.readouterr().out.splitlines()
+    keys = [" ".join(line.split()[:4]) for line in lines]
+    assert [len(line.split()) for line in lines[-2:]] == [11, 11]  # the singles are solved and digested
 
     monkeypatch.syspath_prepend(os.path.join(root, "studybench"))
     from workloads import WORKLOADS, run_pass
 
-    workload = WORKLOADS["smooth_study"]
-    cells = run_pass(workload)[: -len(workload.singles)]  # the singles come last
-    assert len(cells) == 48
+    cells = run_pass(WORKLOADS["smooth_study"])  # the study cells, then the singles
+    assert len(cells) == 50
     assert keys == [f"{v} p={p} t={t!r} L={level}" for v, p, t, level in (c["key"] for c in cells)]

@@ -322,7 +322,7 @@ def test_condition_estimate_recorded_on_request():
 
 @pytest.mark.parametrize("variant", ["std", "mxd", "ead"])
 def test_condition_estimate_reuses_the_factorisation(factorisations, variant):
-    # factorisations of either kind count: these level-1 matrices are dense enough for getrf
+    # factorisations of either kind count: these level-1 matrices take gbtrf
     cfg = SolveConfig(variant=variant, degree=2, level=1, thickness=0.1, estimate_condition=True)
     sol = solve_variant(geometry_catalog("undistorted"), cfg, load=lambda x, y: np.ones_like(x))
     assert sol.diagnostics["cond_est"] is not None
@@ -332,19 +332,19 @@ def test_condition_estimate_reuses_the_factorisation(factorisations, variant):
 @pytest.mark.parametrize(
     ("geometry", "variant", "p", "level", "factor"),
     [
-        ("undistorted", "ead", 2, 1, "getrf"),
+        ("undistorted", "ead", 2, 1, "gbtrf"),
         ("undistorted", "mxd", 2, 4, "gbtrf"),
         ("c0_single", "mxd", 3, 3, "pbtrf+pbtrf"),
     ],
 )
 def test_lu_fill_counts_the_entries_the_factors_store(monkeypatch, geometry, variant, p, level, factor):
-    # getrf stores n^2 entries, gbtrf its (2 kl + ku + 1, n) band, pbtrf its
-    # (kd + 1, n) band, SuperLU its nnz; the c0_single cell takes GMRES: the
-    # band Cholesky of the primal matrix and that of the shear block count
+    # gbtrf stores its (2 kl + ku + 1, n) band, pbtrf its (kd + 1, n) band,
+    # SuperLU its nnz; the c0_single cell takes GMRES: the band Cholesky of
+    # the primal matrix and that of the shear block count
     import scipy.linalg.lapack as lapack
     import scipy.sparse.linalg as spla
 
-    from igaplate.sparse import BandLU, DenseLU
+    from igaplate.sparse import BandLU
 
     stored = []
 
@@ -360,20 +360,18 @@ def test_lu_fill_counts_the_entries_the_factors_store(monkeypatch, geometry, var
         raise AssertionError("a LAPACK factor's L or U was built")
 
     monkeypatch.setattr(spla, "splu", recording("splu", spla.splu, lambda lu: lu.nnz))
-    monkeypatch.setattr(lapack, "dgetrf", recording("getrf", lapack.dgetrf, lambda out: out[0].size))
     monkeypatch.setattr(lapack, "dgbtrf", recording("gbtrf", lapack.dgbtrf, lambda out: out[0].size))
     monkeypatch.setattr(lapack, "dpbtrf", recording("pbtrf", lapack.dpbtrf, lambda out: out[0].size))
-    for cls in (DenseLU, BandLU):
-        monkeypatch.setattr(cls, "L", property(unread))
-        monkeypatch.setattr(cls, "U", property(unread))
+    monkeypatch.setattr(BandLU, "L", property(unread))
+    monkeypatch.setattr(BandLU, "U", property(unread))
     cfg = SolveConfig(variant=variant, degree=p, level=level, thickness=1.0)
     sol = solve_variant(geometry_catalog(geometry), cfg, load=lambda x, y: np.ones_like(x))
     d = sol.diagnostics
     assert [name for name, _ in stored] == factor.split("+")
     assert d["lu_fill"] == sum(size for _, size in stored) > 0
-    if factor == "getrf":
-        assert d["lu_fill"] == d["n_dof_solved"] ** 2
-    elif factor == "pbtrf+pbtrf":
+    if factor == "gbtrf":
+        assert d["lu_fill"] % d["n_dof_solved"] == 0 and d["solver"] == "lu"
+    else:
         assert d["solver"] == "gmres" and len(stored) == 2
 
 
@@ -1068,14 +1066,15 @@ def test_a_level_whose_band_exceeds_the_cap_is_factorised_by_superlu(factorisati
 
 @pytest.mark.parametrize("estimate_condition", [False, True])
 def test_a_dense_level_solves_every_thickness_as_alone(factorisations, estimate_condition):
-    # the ead p2 L3 condensed matrix stores more than DENSE_SHARE of n^2:
-    # every thickness is factorised by getrf, none by SuperLU
+    # the ead p2 L3 condensed matrix stores 69 % of its n^2 entries, and its
+    # band in the grid's sweep order fits: every thickness is factorised by
+    # gbtrf, none by SuperLU
     import importlib
 
     module = importlib.import_module("igaplate.condense")
     cfg = SolveConfig(variant="ead", degree=2, level=3, thickness=1.0, estimate_condition=estimate_condition)
     results, alone = _level_and_alone(module, cfg)
-    assert factorisations == ["getrf"] * 6
+    assert factorisations == ["gbtrf"] * 6
     _assert_solved_as_alone(results, alone, estimate_condition)
 
 

@@ -14,10 +14,8 @@ from igaplate.bench import GEOMETRY_NAMES, geometry_catalog
 from igaplate.condense import SolveConfig, build_parts
 from igaplate.sparse import (
     BAND_MAX_ENTRIES,
-    DENSE_SHARE,
     BandCholesky,
     BandLU,
-    DenseLU,
     DirectSolver,
     KrylovSolver,
     SingularMatrix,
@@ -137,13 +135,15 @@ def _row_order(piv: np.ndarray) -> np.ndarray:
     return order
 
 
-def test_a_matrix_at_the_dense_share_is_factorised_by_getrf_like_superlu(factorisations):
+def test_a_matrix_storing_a_tenth_of_n2_is_factorised_by_gbtrf_like_superlu(factorisations):
     n = 60
-    a = _stored_share_matrix(n, int(np.ceil(DENSE_SHARE * n * n)))
+    a = _stored_share_matrix(n, n * n // 10)
     reference = spla.splu(a)
     factorisations.clear()
     solver = DirectSolver(a)
-    assert factorisations == ["getrf"] and isinstance(solver._lu, DenseLU) and solver.lu_fill == n * n
+    perm, _, kl, ku = rcm_band(a)
+    assert factorisations == ["gbtrf"] and isinstance(solver._lu, BandLU)
+    assert solver.lu_fill == (2 * kl + ku + 1) * n
     b = np.random.default_rng(8).standard_normal(n)
     for trans in ("N", "T"):
         x, ref = solver._lu.solve(b, trans=trans), reference.solve(b, trans=trans)
@@ -151,9 +151,10 @@ def test_a_matrix_at_the_dense_share_is_factorised_by_getrf_like_superlu(factori
     # one step of iterative refinement on the factor's answer
     y = solver._lu.solve(b)
     assert solver.solve(b).tobytes() == (y + solver._lu.solve(b - a @ y)).tobytes()
-    # the factors the trace counts: P A = L U with a unit lower L
+    # the factors the trace counts: P B = L U for the RCM-permuted B, with a unit lower L
     lu = solver._lu
-    assert np.allclose((lu.L @ lu.U).toarray(), a.toarray()[_row_order(lu._piv)], rtol=0, atol=1e-12 * n)
+    permuted = a.toarray()[perm][:, perm]
+    assert np.allclose((lu.L @ lu.U).toarray(), permuted[_row_order(lu._piv)], rtol=0, atol=1e-12 * n)
     assert np.array_equal(lu.L.diagonal(), np.ones(n))
 
 
@@ -169,18 +170,17 @@ def _scrambled_band(n=200, lower=3, upper=1, seed=9):
 def test_a_matrix_below_the_dense_share_is_factorised_by_gbtrf_in_rcm_order(factorisations):
     n = 200
     a = _scrambled_band(n)
-    assert a.nnz < DENSE_SHARE * n * n
     solver = DirectSolver(a)
     assert factorisations == ["gbtrf"] and isinstance(solver._lu, BandLU)
     perm, inv, kl, ku = rcm_band(a)
     assert np.array_equal(inv[perm], np.arange(n))
     assert {kl, ku} == {3, 1}  # RCM finds the band again; its two sides differ
     assert solver.lu_fill == (2 * kl + ku + 1) * n
-    dense = DenseLU(a)
+    reference = spla.splu(a)
     rhs = np.random.default_rng(10).standard_normal((n, 2))
     for b in (rhs[:, 0], rhs):
         for trans in ("N", "T"):
-            x, ref = solver._lu.solve(b, trans=trans), dense.solve(b, trans=trans)
+            x, ref = solver._lu.solve(b, trans=trans), reference.solve(b, trans=trans)
             assert x.shape == b.shape
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     # P B = L U for the RCM-permuted matrix B, with row interchanges taken
@@ -192,14 +192,15 @@ def test_a_matrix_below_the_dense_share_is_factorised_by_gbtrf_in_rcm_order(fact
     assert sp.triu(lu.L, 1).nnz == 0 and sp.tril(lu.U, -1).nnz == 0
 
 
-def test_a_matrix_whose_band_needs_n_rows_goes_to_getrf(factorisations):
+def test_a_matrix_whose_band_needs_n_rows_goes_to_gbtrf(factorisations):
     n = 60
     a = _arrow(n)
-    assert a.nnz == 3 * n - 2 < DENSE_SHARE * n * n
+    assert a.nnz == 3 * n - 2
     _, _, kl, ku = rcm_band(a)
-    assert 2 * kl + ku + 1 >= n <= BAND_MAX_ENTRIES // n
+    assert n <= 2 * kl + ku + 1 <= BAND_MAX_ENTRIES // n
     solver = DirectSolver(a)
-    assert factorisations == ["getrf"] and isinstance(solver._lu, DenseLU)
+    assert factorisations == ["gbtrf"] and isinstance(solver._lu, BandLU)
+    assert solver.lu_fill == (2 * kl + ku + 1) * n
     b = np.ones(n)
     assert np.linalg.norm(a @ solver.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
 
@@ -216,10 +217,10 @@ def _arrow(n=60):
 def test_a_sparse_matrix_whose_lapack_factor_would_exceed_the_cap_goes_to_superlu(a, factorisations, monkeypatch):
     n = a.shape[0]
     _, _, kl, ku = rcm_band(a)
-    stored = min(2 * kl + ku + 1, n) * n
+    stored = (2 * kl + ku + 1) * n
     monkeypatch.setattr(sparse, "BAND_MAX_ENTRIES", stored)
-    DirectSolver(a)
-    assert factorisations[-1] in ("gbtrf", "getrf")
+    assert DirectSolver(a).lu_fill == stored
+    assert factorisations[-1] == "gbtrf"
     monkeypatch.setattr(sparse, "BAND_MAX_ENTRIES", stored - 1)
     solver = DirectSolver(a)
     assert factorisations[-1] == "splu" and solver.lu_fill == solver._lu.nnz
@@ -228,6 +229,23 @@ def test_a_sparse_matrix_whose_lapack_factor_would_exceed_the_cap_goes_to_superl
     assert solver.solve(b).tobytes() == (x + solver._lu.solve(b - a @ x)).tobytes()
     with pytest.raises(SingularMatrix):
         DirectSolver(sp.block_diag([np.array([[1.0, 2.0], [2.0, 4.0]])] * (n // 2), format="csc"))
+
+
+def test_a_superlu_out_of_memory_raises_a_memory_error_naming_the_matrix(monkeypatch):
+    # SuperLU's "Can't expand MemType" reaches scipy's caller as this SystemError
+    def out_of_memory(a, **options):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr(spla, "splu", out_of_memory)
+    monkeypatch.setattr(sparse, "BAND_MAX_ENTRIES", 0)
+    a = _scrambled_band()
+    m = (a @ a.T).tocsc() + sp.identity(a.shape[0], format="csc")
+    # the Krylov solver raises too, rather than leaving the caller to try a larger SuperLU factor
+    for factorise, matrix in ((DirectSolver, a), (lambda spd: KrylovSolver(spd, spd), m)):
+        message = f"SuperLU ran out of memory on n = 200 with {matrix.nnz} stored entries"
+        with pytest.raises(MemoryError, match=message) as info:
+            factorise(matrix)
+        assert isinstance(info.value.__cause__, SystemError)
 
 
 def test_a_singular_banded_matrix_raises_from_the_constructor_without_warning(factorisations):
